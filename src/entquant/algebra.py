@@ -44,10 +44,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
@@ -79,7 +75,7 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| for a normalized state vector."""
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
         raise NotNormalized(f"state norm is {norm!r}, expected 1 within 1e-9")
     return np.outer(psi, psi.conj())
 

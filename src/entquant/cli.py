@@ -222,11 +222,11 @@ def _format_row(values) -> str:
 
 def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
+    arms = _arm_unitaries(args)
     lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo"]
     for idx, theta_deg in enumerate(grid):
         point_args = argparse.Namespace(**vars(args), theta=float(theta_deg))
         rho = _prepared_density(point_args)
-        arms = _arm_unitaries(args)
         if arms is not None:
             rho = apply_local_unitary(rho, *arms)
         cfg = _sim_config(args, seed=_point_seed(args.seed, idx))
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ilut-check", help="compare g before/after a local unitary transformation")
     p.add_argument("counts_files", nargs="*", help="two counts files, or none with a state spec")
     _add_state_flags(p)
-    _add_sim_flags(p)
     p.add_argument("--k", type=float, default=3.0, help="verdict threshold in combined sigmas")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_ilut_check)

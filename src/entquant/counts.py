@@ -10,9 +10,12 @@ assumption is needed across groups:
 * <s_i (x) I> and <I (x) s_j> come from the diagonal groups (i, i) and
   (j, j) with signs on one side only.
 
-Error bars are first-order Poisson propagation with var(count) = count,
-treating all settings as independent; the measure-level derivatives are
-taken numerically with step max(1, sqrt(count)).
+One estimator, _estimate, turns the counts into the 4x4 Pauli expectation
+matrix t[i, j] = <s_i (x) s_j> and its Jacobian in the 36 counts; within a
+group of total T, d t / d n_k = (sign_k - t) / T. g and k are functions of
+t (see measures), and every error bar follows one delta-method rule:
+first-order Poisson propagation with var(count) = count, all settings
+independent, sigma_f^2 = sum_k (grad_t f . dt/dn_k)^2 n_k.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .algebra import expectation_value
 from .errors import DuplicateSetting, MissingSetting, ParseError
-from .measures import GResult, KResult, SchmidtCoeffs, k_separable_bound
+from .measures import GResult, KResult, SchmidtCoeffs, _g_terms, _k_terms, k_separable_bound
 from .optics import PAULI_EIGENBASIS, BasisLabel, joint_projector
 
 
@@ -96,8 +99,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_per_setting <= 0:
-            raise ValueError(f"n_per_setting must be positive, got {self.n_per_setting!r}")
+        if not 0 < self.n_per_setting < np.inf:  # written so that NaN fails too
+            raise ValueError(f"n_per_setting must be positive and finite, got {self.n_per_setting!r}")
         if self.noise not in ("exact", "poisson"):
             raise ValueError(f"noise must be 'exact' or 'poisson', got {self.noise!r}")
 
@@ -212,10 +215,9 @@ def data_file(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Expectation estimators
+# Estimators: counts -> Pauli expectation matrix t -> g, k
 # ---------------------------------------------------------------------------
 
-_JOINT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 _SIDE_A_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _SIDE_B_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
@@ -227,96 +229,73 @@ def group_settings(i: int, j: int) -> tuple[Setting, ...]:
     return (Setting(pa, pb), Setting(pa, mb), Setting(ma, pb), Setting(ma, mb))
 
 
-def _group_counts(table: CountsTable, i: int, j: int) -> np.ndarray:
-    group = group_settings(i, j)
-    table.require(group)
-    return np.array([table.counts[s] for s in group], dtype=float)
+def _sign_matrix() -> np.ndarray:
+    """_SIGN[4i + j, k]: the sign of canonical count k in the estimate of
+    t[i, j], zero when count k is outside the group that t[i, j] reads."""
+    sign = np.zeros((16, len(FULL_SETTINGS)))
+    for i, j in product((1, 2, 3), repeat=2):
+        cols = [_ORDINAL[s] for s in group_settings(i, j)]
+        sign[4 * i + j, cols] = _SIDE_A_SIGNS * _SIDE_B_SIGNS
+        if i == j:
+            sign[4 * i, cols] = _SIDE_A_SIGNS
+            sign[j, cols] = _SIDE_B_SIGNS
+    return sign
 
 
-def _signed_estimate(counts: np.ndarray, signs: np.ndarray, exact: bool) -> EstimatedValue:
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("settings group has zero total counts")
-    value = float((signs * counts).sum() / total)
-    if exact:
-        return EstimatedValue(value=value, sigma=0.0)
-    # delta method: d value / d n_k = (sign_k - value) / total, var(n_k) = n_k
-    var = float((((signs - value) / total) ** 2 * counts).sum())
-    return EstimatedValue(value=value, sigma=float(np.sqrt(var)))
+_SIGN = _sign_matrix()
+_MEMBER = (_SIGN != 0).astype(float)
+
+
+def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The group-normalized estimator: (n, t, dt/dn) from the given settings.
+
+    n is the 36-count vector in canonical order, zero outside `settings`;
+    t[i, j] = sum_k s_k n_k / T over the group of total T that the entry
+    reads, with t[0, 0] = 1; the Jacobian row of entry e is
+    dt_e/dn_k = (s_k - t_e) / T on the group and zero elsewhere. Entries
+    whose group lies outside `settings` are 0 with zero derivative.
+    """
+    table.require(settings)
+    cols = [_ORDINAL[s] for s in settings]
+    n = np.zeros(len(FULL_SETTINGS))
+    n[cols] = [table.counts[s] for s in settings]
+    total = _MEMBER @ n
+    read = _MEMBER[:, cols].any(axis=1)
+    empty = read & (total <= 0)
+    if empty.any():
+        i, j = divmod(int(np.argmax(empty)), 4)
+        raise ValueError(f"settings group ({i or j}, {j or i}) has zero total counts")
+    inv = np.divide(1.0, total, out=np.zeros(16), where=read)
+    t = (_SIGN @ n) * inv
+    jac = _MEMBER * (_SIGN - t[:, None]) * inv[:, None]
+    t[0] = 1.0
+    return n, t.reshape(4, 4), jac
+
+
+def _delta(table: CountsTable, n: np.ndarray, grad_n: np.ndarray) -> float:
+    """First-order Poisson sigma: var(n_k) = n_k, settings independent,
+    grad_n the estimate's gradient in the counts. Zero for exact tables."""
+    if table.is_exact:
+        return 0.0
+    return float(np.sqrt(np.sum(grad_n * grad_n * n)))
+
+
+def _entry(table: CountsTable, settings: tuple[Setting, ...], i: int, j: int) -> EstimatedValue:
+    n, t, jac = _estimate(table, settings)
+    return EstimatedValue(value=float(t[i, j]), sigma=_delta(table, n, jac[4 * i + j]))
 
 
 def joint_expectation(table: CountsTable, i: int, j: int) -> EstimatedValue:
     """<sigma_i (x) sigma_j> from the (i, j) eigenbasis group."""
-    counts = _group_counts(table, i, j)
-    return _signed_estimate(counts, _JOINT_SIGNS, table.is_exact)
+    return _entry(table, group_settings(i, j), i, j)
 
 
 def marginal_expectation(table: CountsTable, side: str, i: int) -> EstimatedValue:
     """<sigma_i (x) I> (side 'A') or <I (x) sigma_i> (side 'B') from group (i, i)."""
     if side.upper() not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    counts = _group_counts(table, i, i)
-    signs = _SIDE_A_SIGNS if side.upper() == "A" else _SIDE_B_SIGNS
-    return _signed_estimate(counts, signs, table.is_exact)
-
-
-# ---------------------------------------------------------------------------
-# Measure estimators with propagated uncertainty
-# ---------------------------------------------------------------------------
-
-_G_GROUP_INDEX = {
-    (i, j): np.array([_ORDINAL[s] for s in group_settings(i, j)])
-    for i in (1, 2, 3)
-    for j in (1, 2, 3)
-}
-
-
-def _cov_from_vec(vec: np.ndarray) -> np.ndarray:
-    """Covariance matrix as a pure function of the 36-count vector."""
-    marg_a = {}
-    marg_b = {}
-    for i in (1, 2, 3):
-        c = vec[_G_GROUP_INDEX[i, i]]
-        t = c.sum()
-        if t <= 0:
-            raise ValueError(f"settings group ({i}, {i}) has zero total counts")
-        marg_a[i] = (_SIDE_A_SIGNS * c).sum() / t
-        marg_b[i] = (_SIDE_B_SIGNS * c).sum() / t
-    cov = np.empty((3, 3))
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            c = vec[_G_GROUP_INDEX[i, j]]
-            t = c.sum()
-            if t <= 0:
-                raise ValueError(f"settings group ({i}, {j}) has zero total counts")
-            cov[i - 1, j - 1] = (_JOINT_SIGNS * c).sum() / t - marg_a[i] * marg_b[j]
-    return cov
-
-
-def _propagate_poisson(vec: np.ndarray, func, group_of: list[np.ndarray]) -> float:
-    """First-order Poisson sigma of func(vec) by numeric differentiation.
-
-    Central differences with step max(1, sqrt(n)); falls back to a forward
-    difference when the downward step would empty the setting's group.
-    """
-    base = func(vec)
-    var = 0.0
-    for s in range(len(vec)):
-        if vec[s] == 0.0:
-            continue  # var(n) = 0 contributes nothing
-        h = max(1.0, np.sqrt(vec[s]))
-        up = vec.copy()
-        up[s] += h
-        fup = func(up)
-        group_total = vec[group_of[s]].sum()
-        if group_total - h > 0 and vec[s] - h >= 0:
-            down = vec.copy()
-            down[s] -= h
-            deriv = (fup - func(down)) / (2 * h)
-        else:
-            deriv = (fup - base) / h
-        var += deriv * deriv * vec[s]
-    return float(np.sqrt(var))
+    entry = (i, 0) if side.upper() == "A" else (0, i)
+    return _entry(table, group_settings(i, i), *entry)
 
 
 def g_from_counts(table: CountsTable) -> GResult:
@@ -326,80 +305,24 @@ def g_from_counts(table: CountsTable) -> GResult:
     under the group-normalization convention above; delta_g treats all 36
     counts as independent Poisson variables (zero for exact tables).
     """
-    table.require(FULL_SETTINGS)
-    vec = np.array([table.counts[s] for s in FULL_SETTINGS], dtype=float)
-    cov = _cov_from_vec(vec)
-    g = float(np.sum(cov * cov))
-    if table.is_exact:
-        return GResult(g=g, covariance=cov, delta_g=0.0)
-    group_of = [_G_GROUP_INDEX[_axis_of(s.a), _axis_of(s.b)] for s in FULL_SETTINGS]
-    delta = _propagate_poisson(vec, lambda v: float(np.sum(_cov_from_vec(v) ** 2)), group_of)
-    return GResult(g=g, covariance=cov, delta_g=delta)
-
-
-_AXIS_OF_LABEL = {label: axis for axis, pair in PAULI_EIGENBASIS.items() for label in pair}
-
-
-def _axis_of(label: BasisLabel) -> int:
-    return _AXIS_OF_LABEL[label]
-
-
-_K_GROUP_SLICES = {
-    3: np.array([n for n, s in enumerate(KMODE_SETTINGS) if _axis_of(s.a) == 3]),
-    1: np.array([n for n, s in enumerate(KMODE_SETTINGS) if _axis_of(s.a) == 1]),
-    2: np.array([n for n, s in enumerate(KMODE_SETTINGS) if _axis_of(s.a) == 2]),
-}
-
-
-def _k_group_probs(vec: np.ndarray, axis: int) -> np.ndarray:
-    c = vec[_K_GROUP_SLICES[axis]]
-    t = c.sum()
-    if t <= 0:
-        raise ValueError(f"settings group ({axis}, {axis}) has zero total counts")
-    return c / t
-
-
-def _k_expectations_from_vec(vec: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Projector expectations <M_1..4> from the 12-count k-mode vector.
-
-    The Z group gives the basis-state probabilities; the D/A and R/L groups
-    give the two coherences through the product-projector decompositions
-      <|00><11| + h.c.> = p(RL) + p(LR) + p(DD) + p(AA) - 1
-      <|01><10| + h.c.> = p(DD) + p(AA) - p(RL) - p(LR).
-    """
-    p00, p01, p10, p11 = _k_group_probs(vec, 3)  # order HH, HV, VH, VV
-    pdd, pda, pad, paa = _k_group_probs(vec, 1)  # order DD, DA, AD, AA
-    prr, prl, plr, pll = _k_group_probs(vec, 2)  # order RR, RL, LR, LL
-    coh_main = prl + plr + pdd + paa - 1.0
-    coh_cross = pdd + paa - prl - plr
-    ab = a * b
-    return np.array(
-        [
-            a * a * p00 + b * b * p11 + ab * coh_main,
-            a * a * p01 + b * b * p10 + ab * coh_cross,
-            b * b * p01 + a * a * p10 - ab * coh_cross,
-            b * b * p00 + a * a * p11 - ab * coh_main,
-        ]
-    )
-
-
-def _k_of_vec(vec: np.ndarray, a: float, b: float) -> float:
-    m = _k_expectations_from_vec(vec, a, b)
-    return float(np.sum(m - m * m))
+    n, t, jac = _estimate(table, FULL_SETTINGS)
+    g, cov, grad = _g_terms(t)
+    return GResult(g=g, covariance=cov, delta_g=_delta(table, n, grad.reshape(16) @ jac))
 
 
 def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
     """Nonlocal variance sum from the 12-setting k-mode subset.
 
-    The estimate is clamped at 0: the unbiased sum can dip marginally
-    negative under Poisson noise when the true value is 0.
+    Reads t00, t03, t30, t33, t11 and t22 only, so a full table gives the
+    same result as its k-mode subset. The estimate is clamped at 0: the
+    unbiased sum can dip marginally negative under Poisson noise when the
+    true value is 0.
     """
-    table.require(KMODE_SETTINGS)
-    vec = np.array([table.counts[st] for st in KMODE_SETTINGS], dtype=float)
-    exps = _k_expectations_from_vec(vec, s.a, s.b)
-    k = max(0.0, float(np.sum(exps - exps * exps)))
-    if table.is_exact:
-        return KResult(k=k, expectations=tuple(exps), bound=k_separable_bound(s), delta_k=0.0)
-    group_of = [_K_GROUP_SLICES[_axis_of(st.a)] for st in KMODE_SETTINGS]
-    delta = _propagate_poisson(vec, lambda v: _k_of_vec(v, s.a, s.b), group_of)
-    return KResult(k=k, expectations=tuple(exps), bound=k_separable_bound(s), delta_k=delta)
+    n, t, jac = _estimate(table, KMODE_SETTINGS)
+    k, m, grad = _k_terms(t, s)
+    return KResult(
+        k=max(0.0, k),
+        expectations=tuple(m.tolist()),
+        bound=k_separable_bound(s),
+        delta_k=_delta(table, n, grad @ jac),
+    )

@@ -46,18 +46,28 @@ def covariance(rho: np.ndarray, i: int, j: int) -> float:
             raise IdentityIndexNotAllowed(f"covariance index {name} must be 1..3, not 0")
         if idx not in (1, 2, 3):
             raise ValueError(f"covariance index {name} must be in 1..3, got {idx!r}")
-    si, sj = pauli_operator(i), pauli_operator(j)
-    ident = pauli_operator(0)
-    joint = expectation_value(rho, tensor_product(si, sj))
-    marg_a = expectation_value(rho, tensor_product(si, ident))
-    marg_b = expectation_value(rho, tensor_product(ident, sj))
-    return joint - marg_a * marg_b
+    return float(covariance_matrix(rho)[i - 1, j - 1])
 
 
 def covariance_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of C(s_i, s_j) over i, j in {1, 2, 3}."""
-    t = pauli_expectation_matrix(rho)
-    return t[1:, 1:] - np.outer(t[1:, 0], t[0, 1:])
+    return _g_terms(pauli_expectation_matrix(rho))[1]
+
+
+def _g_terms(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """g, the covariance matrix C and dg/dt (4x4) at the Pauli matrix t.
+
+    C = t[1:, 1:] - a b^T with marginals a = t[1:, 0], b = t[0, 1:], and
+    g = ||C||^2, so dg/dt is 2C on the joint entries, -2 C b on a and
+    -2 a^T C on b.
+    """
+    a, b = t[1:, 0], t[0, 1:]
+    cov = t[1:, 1:] - np.outer(a, b)
+    grad = np.zeros((4, 4))
+    grad[1:, 1:] = 2.0 * cov
+    grad[1:, 0] = -2.0 * cov @ b
+    grad[0, 1:] = -2.0 * a @ cov
+    return float(np.sum(cov * cov)), cov, grad
 
 
 @dataclass
@@ -71,8 +81,8 @@ class GResult:
 
 def g_measure(rho: np.ndarray) -> GResult:
     """Sum of the nine squared Pauli covariances of rho."""
-    cov = covariance_matrix(rho)
-    return GResult(g=float(np.sum(cov * cov)), covariance=cov)
+    g, cov, _ = _g_terms(pauli_expectation_matrix(rho))
+    return GResult(g=g, covariance=cov)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -218,9 +228,20 @@ class KResult:
     delta_k: float | None = None
 
 
+def _k_terms(t: np.ndarray, s: SchmidtCoeffs) -> tuple[float, np.ndarray, np.ndarray]:
+    """k, the projector expectations m and dk/dt (16,) at the Pauli matrix t.
+
+    m = P t with P[i, e] = tr(sigma_e M_i) / 4, since rho = sum_e t_e sigma_e / 4.
+    Only II, IZ, ZI, ZZ, XX and YY carry weight, because
+    |00><11| + h.c. = (XX - YY) / 2 and |01><10| + h.c. = (XX + YY) / 2.
+    """
+    proj = np.einsum("eij,mji->me", _PAULI_TENSOR, np.stack(k_observables(s).projectors)).real / 4.0
+    m = proj @ t.reshape(16)
+    return float(np.sum(m - m * m)), m, (1.0 - 2.0 * m) @ proj
+
+
 def k_measure(rho: np.ndarray, s: SchmidtCoeffs) -> KResult:
     """k = sum_i (<M_i> - <M_i>^2), using the projector identity M_i^2 = M_i."""
-    obs = k_observables(s)
-    exps = tuple(expectation_value(rho, m) for m in obs.projectors)
-    k = max(0.0, float(sum(e - e * e for e in exps)))  # rounding can leave -1e-16
-    return KResult(k=k, expectations=exps, bound=k_separable_bound(s))
+    k, m, _ = _k_terms(pauli_expectation_matrix(rho), s)
+    k = max(0.0, k)  # rounding can leave -1e-16
+    return KResult(k=k, expectations=tuple(m.tolist()), bound=k_separable_bound(s))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import pure_to_density, tensor_product
+from .algebra import pauli_operator, pure_to_density, tensor_product
 from .errors import UnknownLabel
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -129,8 +129,6 @@ class ChannelSpec:
 
     def local_kraus(self) -> list[np.ndarray]:
         sigma = {"x": 1, "z": 3}[self.basis]
-        from .algebra import pauli_operator
-
         return [
             np.sqrt(1.0 - self.p) * np.eye(2, dtype=complex),
             np.sqrt(self.p) * pauli_operator(sigma),

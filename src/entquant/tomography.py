@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import validate_density
-from .counts import FULL_SETTINGS, CountsTable, joint_expectation, marginal_expectation
+from .counts import FULL_SETTINGS, CountsTable, _estimate
 from .measures import _PAULI_TENSOR, concurrence
 
 
@@ -20,17 +20,9 @@ def pauli_vector_from_counts(table: CountsTable) -> np.ndarray:
     """4x4 matrix t[i, j] = <sigma_i (x) sigma_j> estimated from counts.
 
     t[0, 0] = 1 exactly; marginals t[i, 0] and t[0, j] use the diagonal
-    (i, i) and (j, j) groups, matching the covariance estimator convention.
+    (i, i) and (j, j) groups, the same estimate that g and k read.
     """
-    table.require(FULL_SETTINGS)
-    t = np.empty((4, 4))
-    t[0, 0] = 1.0
-    for i in (1, 2, 3):
-        t[i, 0] = marginal_expectation(table, "A", i).value
-        t[0, i] = marginal_expectation(table, "B", i).value
-        for j in (1, 2, 3):
-            t[i, j] = joint_expectation(table, i, j).value
-    return t
+    return _estimate(table, FULL_SETTINGS)[1]
 
 
 def linear_inversion(t: np.ndarray) -> np.ndarray:

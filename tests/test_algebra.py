@@ -110,6 +110,8 @@ class TestPureToDensity:
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
             pure_to_density(np.array([0.5, 0, 0, 0]))
+        with pytest.raises(NotNormalized):
+            pure_to_density(np.array([np.nan, 0, 0, 0]))
 
 
 class TestApplyLocalUnitary:

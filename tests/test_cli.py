@@ -128,6 +128,14 @@ class TestSimulate:
     def test_state_spec_required(self):
         assert run_cli("simulate", "--theta", "10").returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags", [("--theta", "nan"), ("--theta", "10", "--n", "nan"), ("--theta", "10", "--n", "inf")]
+    )
+    def test_non_finite_input_exits_2(self, flags):
+        proc = run_cli("simulate", "--family", "parallel", *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_bad_damp_flag(self):
         proc = run_cli("simulate", "--family", "parallel", "--theta", "10", "--damp", "y:0.5")
         assert proc.returncode == 2
@@ -228,6 +236,9 @@ class TestIlutCheck:
 
     def test_one_file_rejected(self):
         assert run_cli("ilut-check", BLOCK1).returncode == 2
+
+    def test_simulation_flags_rejected(self):
+        assert run_cli("ilut-check", BLOCK1, BLOCK2, "--noise", "poisson").returncode == 2
 
 
 class TestTomo:

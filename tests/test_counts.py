@@ -5,6 +5,7 @@ from entquant import (
     FULL_SETTINGS,
     KMODE_SETTINGS,
     BasisLabel,
+    ChannelSpec,
     CountsTable,
     SchmidtCoeffs,
     Setting,
@@ -17,12 +18,15 @@ from entquant import (
     k_measure,
     marginal_expectation,
     parse_counts_csv,
+    phase_damping,
+    prepare_parallel,
     pure_to_density,
     random_density,
     random_pure,
     simulate_counts,
     write_counts_csv,
 )
+from entquant.counts import group_settings
 from entquant.errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -89,6 +93,9 @@ class TestSimulateCounts:
             SimConfig(n_per_setting=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_per_setting=10, noise="gaussian")
+        for n in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SimConfig(n_per_setting=n)
 
 
 class TestCsvRoundTrip:
@@ -206,8 +213,6 @@ class TestGFromCounts:
             g_from_counts(table)
 
     def test_group_probabilities_normalized(self, block1):
-        from entquant.counts import group_settings
-
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 group = group_settings(i, j)
@@ -273,6 +278,68 @@ class TestPoissonErrorBars:
     def test_parsed_tables_get_error_bars(self, block1):
         est = joint_expectation(block1, 2, 2)
         assert est.sigma > 0
+
+    def test_expectation_sigma_is_group_delta_method(self, block1):
+        side_a = np.array([1.0, 1.0, -1.0, -1.0])
+        side_b = np.array([1.0, -1.0, 1.0, -1.0])
+        cases = [(joint_expectation(block1, i, j), (i, j), side_a * side_b) for i in (1, 2, 3) for j in (1, 2, 3)]
+        for i in (1, 2, 3):
+            cases.append((marginal_expectation(block1, "A", i), (i, i), side_a))
+            cases.append((marginal_expectation(block1, "B", i), (i, i), side_b))
+        for est, group, signs in cases:
+            n = np.array([block1.counts[s] for s in group_settings(*group)])
+            total = n.sum()
+            assert est.value == pytest.approx((signs * n).sum() / total, abs=1e-15)
+            sigma = np.sqrt((((signs - est.value) / total) ** 2 * n).sum())
+            assert est.sigma == pytest.approx(sigma, rel=1e-12)
+
+
+def central_difference_sigma(table, settings, measure, h=1e-3):
+    """sqrt(sum_k (df/dn_k)^2 n_k), with df/dn_k a central difference of
+    step h counts on tables rebuilt as exact (so none computes its own
+    error bar)."""
+    var = 0.0
+    for s in settings:
+        n = table.counts[s]
+        if n == 0:
+            continue
+        up, down = dict(table.counts), dict(table.counts)
+        up[s], down[s] = n + h, n - h
+        deriv = (measure(CountsTable(up, source="exact")) - measure(CountsTable(down, source="exact"))) / (2 * h)
+        var += deriv * deriv * n
+    return float(np.sqrt(var))
+
+
+class TestAnalyticErrorBars:
+    def test_delta_g_matches_central_difference(self, block1):
+        reference = central_difference_sigma(block1, FULL_SETTINGS, lambda t: g_from_counts(t).g)
+        assert g_from_counts(block1).delta_g == pytest.approx(reference, rel=1e-6)
+
+    def test_delta_k_matches_central_difference(self):
+        rho = phase_damping(pure_to_density(prepare_parallel(np.radians(22.5))), ChannelSpec("z", 0.5))
+        table = simulate_counts(rho, KMODE_SETTINGS, SimConfig(5000, "poisson", seed=4))
+        s = SchmidtCoeffs(np.cos(np.radians(45)), np.sin(np.radians(45)))
+        res = k_from_counts(table, s)
+        assert res.k > 0.1  # away from the clamp at 0
+        reference = central_difference_sigma(table, KMODE_SETTINGS, lambda t: k_from_counts(t, s).k)
+        assert res.delta_k == pytest.approx(reference, rel=1e-6)
+
+    def test_k_reads_only_the_kmode_subset(self):
+        full = simulate_counts(random_density(83), FULL_SETTINGS, SimConfig(500, "poisson", seed=8))
+        subset = CountsTable({s: full.counts[s] for s in KMODE_SETTINGS}, source="poisson")
+        s = SchmidtCoeffs(0.8, 0.6)
+        on_full, on_subset = k_from_counts(full, s), k_from_counts(subset, s)
+        assert on_full.k == on_subset.k
+        assert on_full.delta_k == on_subset.delta_k > 0
+        assert on_full.expectations == on_subset.expectations
+
+    def test_zero_total_group_rejected_only_where_read(self, singlet):
+        table = exact_table(singlet)
+        for s in group_settings(1, 2):
+            table.counts[s] = 0.0
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            g_from_counts(table)
+        assert k_from_counts(table, SchmidtCoeffs(SQ2, SQ2)).k == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCountsTableValidation:
