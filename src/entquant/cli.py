@@ -43,7 +43,7 @@ from .optics import (
     prepare_parallel,
     waveplate_unitary,
 )
-from .tomography import fidelity, reconstruct, tomo_concurrence
+from .tomography import fidelity, linear_inversion, project_to_physical, reconstruct
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
@@ -155,7 +155,7 @@ def _point_seed(seed: int, *indices: int) -> int:
 def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
     rad = math.radians(theta_deg)
     a, b = math.cos(2 * rad), math.sin(2 * rad)
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # written so that NaN fails too
         raise ValueError(f"--theta must lie in [0, 45] degrees, got {theta_deg!r}")
     return SchmidtCoeffs(a=a, b=b)
 
@@ -169,7 +169,7 @@ def _table_report(table: CountsTable, inputs: dict, tomo: bool, theta_deg: float
         "concurrence_from_g": _clamped_c_from_g(res.g),
     }
     if tomo:
-        report["tomo_concurrence"] = tomo_concurrence(table)
+        report["tomo_concurrence"] = concurrence(project_to_physical(linear_inversion(res.t)))
     if theta_deg is not None:
         s = _schmidt_from_theta(theta_deg)
         kres = k_from_counts(table, s)
@@ -238,7 +238,7 @@ def _cmd_sweep_g(args) -> int:
             res.delta_g,
             _clamped_c_from_g(res.g),
             concurrence(rho),
-            tomo_concurrence(table),
+            concurrence(project_to_physical(linear_inversion(res.t))),
         )
         lines.append(_format_row(row))
     _write_output("\n".join(lines) + "\n", args.out)

@@ -28,7 +28,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import expectation_value
 from .errors import DuplicateSetting, MissingSetting, ParseError
 from .measures import GResult, KResult, SchmidtCoeffs, _g_terms, _k_terms, k_separable_bound
 from .optics import PAULI_EIGENBASIS, BasisLabel, joint_projector
@@ -52,6 +51,8 @@ FULL_SETTINGS: tuple[Setting, ...] = tuple(
     Setting(a, b) for a, b in product(_LABEL_ORDER, repeat=2)
 )
 _ORDINAL = {s: n for n, s in enumerate(FULL_SETTINGS)}
+#: The joint projector |a b><a b| of every setting, in canonical order.
+_PROJECTORS = np.stack([joint_projector(s.a, s.b) for s in FULL_SETTINGS])
 
 _KMODE_SET = {
     Setting(a, b)
@@ -77,8 +78,8 @@ class CountsTable:
 
     def __post_init__(self):
         for s, n in self.counts.items():
-            if n < 0:
-                raise ValueError(f"count for {s} is negative: {n!r}")
+            if not 0 <= n < np.inf:  # written so that NaN fails too
+                raise ValueError(f"count for {s} must be nonnegative and finite, got {n!r}")
 
     @property
     def is_exact(self) -> bool:
@@ -118,19 +119,22 @@ def simulate_counts(rho: np.ndarray, settings: Iterable[Setting], cfg: SimConfig
 
     Poisson draws use one independent substream per setting, keyed by the
     setting's canonical ordinal, so results are seed-reproducible no matter
-    how the settings are ordered or distributed across workers.
+    how the settings are ordered or distributed across workers. A rho that
+    is not finite, or not Hermitian within 1e-10, raises ValueError.
     """
-    out: dict[Setting, float] = {}
-    for s in settings:
-        p = max(0.0, expectation_value(rho, joint_projector(s.a, s.b)))
-        mean = cfg.n_per_setting * p
-        if cfg.noise == "exact":
-            out[s] = mean
-        else:
-            sub = np.random.default_rng([cfg.seed, _ORDINAL[s]])
-            out[s] = float(sub.poisson(mean))
+    settings = tuple(settings)
+    ords = [_ORDINAL[s] for s in settings]
+    p = np.trace(np.asarray(rho) @ _PROJECTORS[ords], axis1=1, axis2=2)
+    if not np.isfinite(p).all():
+        raise ValueError("state is not finite")
+    residue = np.max(np.abs(p.imag), initial=0.0)
+    if residue > 1e-10:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e}; state is not Hermitian")
+    counts = (cfg.n_per_setting * np.where(p.real > 0.0, p.real, 0.0)).tolist()
+    if cfg.noise == "poisson":
+        counts = [float(np.random.default_rng([cfg.seed, o]).poisson(m)) for o, m in zip(ords, counts)]
     seed = cfg.seed if cfg.noise == "poisson" else None
-    return CountsTable(counts=out, source=cfg.noise, seed=seed)
+    return CountsTable(counts=dict(zip(settings, counts)), source=cfg.noise, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def g_from_counts(table: CountsTable) -> GResult:
     """
     n, t, jac = _estimate(table, FULL_SETTINGS)
     g, cov, grad = _g_terms(t)
-    return GResult(g=g, covariance=cov, delta_g=_delta(table, n, grad.reshape(16) @ jac))
+    return GResult(g=g, covariance=cov, delta_g=_delta(table, n, grad.reshape(16) @ jac), t=t)
 
 
 def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:

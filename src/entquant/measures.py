@@ -77,6 +77,7 @@ class GResult:
     g: float
     covariance: np.ndarray
     delta_g: float | None = None
+    t: np.ndarray | None = None  # the Pauli matrix that g was estimated from
 
 
 def g_measure(rho: np.ndarray) -> GResult:
@@ -183,9 +184,9 @@ class SchmidtCoeffs:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+        if not (self.a >= 0 and self.b >= 0):  # both checks are written so that NaN fails them
             raise ValueError(f"Schmidt coefficients must be nonnegative, got ({self.a}, {self.b})")
-        if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
+        if not abs(self.a**2 + self.b**2 - 1.0) <= 1e-12:
             raise ValueError(f"a^2 + b^2 must be 1 within 1e-12, got {self.a**2 + self.b**2!r}")
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from entquant import data_file
+from entquant import cli, counts, data_file, parse_counts_csv, tomo_concurrence, tomography
 
 BLOCK1 = data_file("tableII_block1.csv")
 BLOCK2 = data_file("tableII_block2.csv")
@@ -51,6 +51,29 @@ class TestAnalyze:
     def test_tomo_flag(self):
         report = run_json("analyze", BLOCK1, "--tomo")
         assert 0.9 < report["tomo_concurrence"] < 1.0
+
+    def test_tomo_estimates_t_once(self, monkeypatch, capsys):
+        calls = []
+        original = counts._estimate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(counts, "_estimate", counting)
+        monkeypatch.setattr(tomography, "_estimate", counting)
+        assert cli.main(["analyze", BLOCK1, "--tomo"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        with open(BLOCK1, encoding="utf-8") as fh:
+            table = parse_counts_csv(fh.read())
+        assert report["tomo_concurrence"] == tomo_concurrence(table)
+
+    def test_nan_theta_exits_2(self):
+        proc = run_cli("analyze", BLOCK1, "--theta", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--theta" in proc.stderr and "non-finite" not in proc.stderr
 
     def test_theta_flag_adds_k_section(self):
         report = run_json("analyze", BLOCK1, "--theta", "22.5")

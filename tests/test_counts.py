@@ -11,9 +11,11 @@ from entquant import (
     Setting,
     SimConfig,
     data_file,
+    expectation_value,
     g_from_counts,
     g_measure,
     joint_expectation,
+    joint_projector,
     k_from_counts,
     k_measure,
     marginal_expectation,
@@ -96,6 +98,47 @@ class TestSimulateCounts:
         for n in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SimConfig(n_per_setting=n)
+
+
+def reference_counts(rho, settings, cfg):
+    """simulate_counts written one setting at a time, as the reference."""
+    out = {}
+    for s in settings:
+        mean = cfg.n_per_setting * max(0.0, expectation_value(rho, joint_projector(s.a, s.b)))
+        if cfg.noise == "exact":
+            out[s] = mean
+        else:
+            out[s] = float(np.random.default_rng([cfg.seed, FULL_SETTINGS.index(s)]).poisson(mean))
+    return out
+
+
+class TestSimulateMatchesReference:
+    @pytest.mark.parametrize("noise", ["exact", "poisson"])
+    @pytest.mark.parametrize(
+        "settings",
+        [FULL_SETTINGS, KMODE_SETTINGS, tuple(reversed(FULL_SETTINGS))],
+        ids=["full", "kmode", "reversed"],
+    )
+    def test_counts_equal_reference(self, noise, settings):
+        states = [pure_to_density(random_pure(100 + i)) for i in range(8)]
+        states += [random_density(200 + i) for i in range(8)]
+        for k, rho in enumerate(states):
+            for n in (50, 5000, 50000.5):
+                cfg = SimConfig(n_per_setting=n, noise=noise, seed=k)
+                got = simulate_counts(rho, settings, cfg).counts
+                want = reference_counts(rho, settings, cfg)
+                assert list(got.items()) == list(want.items())
+
+    def test_non_hermitian_state_rejected(self, singlet):
+        rho = singlet.copy()
+        rho[0, 3] += 0.1j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            simulate_counts(rho, FULL_SETTINGS, SimConfig(100))
+
+    @pytest.mark.parametrize("noise", ["exact", "poisson"])
+    def test_non_finite_state_rejected(self, noise):
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_counts(np.full((4, 4), np.nan), FULL_SETTINGS, SimConfig(100, noise))
 
 
 class TestCsvRoundTrip:
@@ -346,3 +389,8 @@ class TestCountsTableValidation:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             CountsTable(counts={Setting(H, H): -1.0})
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_count_rejected(self, n):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            CountsTable(counts={Setting(H, H): n})

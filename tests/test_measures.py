@@ -235,6 +235,11 @@ class TestSchmidtCoeffs:
         with pytest.raises(ValueError):
             SchmidtCoeffs(-0.6, 0.8)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            SchmidtCoeffs(a, b)
+
     def test_whole_quadrant_accepted(self):
         SchmidtCoeffs(0.0, 1.0)
         SchmidtCoeffs(1.0, 0.0)
