@@ -72,12 +72,13 @@ def expectation_value(rho: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> flo
 
 
 def pure_to_density(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi| for a normalized state vector."""
+    """Rank-1 projector |psi><psi| for a normalized state vector, or for
+    each vector of a stack (..., d)."""
     psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
-        raise NotNormalized(f"state norm is {norm!r}, expected 1 within 1e-9")
-    return np.outer(psi, psi.conj())
+    norm = np.linalg.norm(psi, axis=-1)
+    if not (np.abs(norm - 1.0) <= 1e-9).all():  # written so that a NaN norm fails too
+        raise NotNormalized(f"state norm is {norm.tolist()!r}, expected 1 within 1e-9")
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
@@ -94,18 +95,20 @@ def validate_density(m: np.ndarray, tol: float = 1e-10, eig_tol: float = 1e-8) -
 
     Raises NotHermitian, BadTrace or NegativeEigenvalue, naming the violated
     invariant and its magnitude. tol guards Hermiticity and the trace;
-    eig_tol is the floor for eigenvalue negativity.
+    eig_tol is the floor for eigenvalue negativity. A stack (..., d, d) is
+    checked matrix by matrix, and the worst violation is named.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=complex)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    adj = m.conj().swapaxes(-1, -2)
+    herm_dev = float(np.abs(m - adj).max())
     if herm_dev > tol:
         raise NotHermitian(f"Hermiticity violated by {herm_dev:.3e} (tol {tol:.1e})")
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
+    trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if trace_dev > tol:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.1e})")
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    min_eig = float(np.linalg.eigvalsh((m + adj) / 2).min())
     if min_eig < -eig_tol:
         raise NegativeEigenvalue(f"minimum eigenvalue {min_eig:.3e} below -{eig_tol:.1e}")
     return m

@@ -20,20 +20,26 @@ from .counts import (
     KMODE_SETTINGS,
     CountsTable,
     SimConfig,
+    _ORDINAL,
+    _g_batch,
+    _pauli_matrix,
+    _simulate,
     g_from_counts,
     k_from_counts,
     parse_counts_csv,
+    seed_states,
     simulate_counts,
     write_counts_csv,
 )
 from .errors import MissingSetting, ParseError
 from .measures import (
     SchmidtCoeffs,
+    _k_terms,
     concurrence,
     concurrence_from_g,
     g_measure,
-    k_measure,
     k_separable_bound,
+    pauli_expectation_matrix,
 )
 from .optics import (
     ChannelSpec,
@@ -91,10 +97,10 @@ def _emit_report(report: dict, out: str | None) -> None:
     _write_output(json.dumps(report, indent=2), out)
 
 
-def _clamped_c_from_g(g: float) -> float:
+def _clamped_c_from_g(g):
     # noisy tables can push g marginally outside [0, 3]; the inverse map is
     # only defined there
-    return concurrence_from_g(min(3.0, max(0.0, g)))
+    return concurrence_from_g(np.minimum(np.maximum(g, 0.0), 3.0))
 
 
 def _parse_damp(text: str) -> ChannelSpec:
@@ -128,36 +134,22 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
     return units["a"], units["b"]
 
 
-def _prepared_density(args) -> np.ndarray:
-    """family/theta state, passed through --damp when given."""
-    if args.family is None or args.theta is None:
+def _prepared_density(family: str | None, theta, damp: str | None) -> np.ndarray:
+    """family/theta state (a stack for an array of angles), passed through damp when given."""
+    if family is None or theta is None:
         raise ValueError("a state spec requires --family and --theta")
-    prep = prepare_parallel if args.family == "parallel" else prepare_antiparallel
-    rho = pure_to_density(prep(math.radians(args.theta)))
-    if args.damp:
-        rho = phase_damping(rho, _parse_damp(args.damp))
+    prep = prepare_parallel if family == "parallel" else prepare_antiparallel
+    rho = pure_to_density(prep(np.radians(theta)))
+    if damp:
+        rho = phase_damping(rho, _parse_damp(damp))
     return rho
 
 
-def _sim_config(args, seed: int | None = None) -> SimConfig:
-    return SimConfig(
-        n_per_setting=args.n,
-        noise=args.noise,
-        seed=args.seed if seed is None else seed,
-    )
-
-
-def _point_seed(seed: int, *indices: int) -> int:
-    """Independent per-grid-point seed derived from the master seed."""
-    return int(np.random.SeedSequence([seed, *indices]).generate_state(1, dtype=np.uint64)[0])
-
-
 def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
-    rad = math.radians(theta_deg)
-    a, b = math.cos(2 * rad), math.sin(2 * rad)
-    if not (a >= 0 and b >= 0):  # written so that NaN fails too
+    if not 0.0 <= theta_deg <= 45.0:  # written so that NaN fails too
         raise ValueError(f"--theta must lie in [0, 45] degrees, got {theta_deg!r}")
-    return SchmidtCoeffs(a=a, b=b)
+    rad = math.radians(theta_deg)
+    return SchmidtCoeffs(a=math.cos(2 * rad), b=math.sin(2 * rad))
 
 
 def _table_report(table: CountsTable, inputs: dict, tomo: bool, theta_deg: float | None) -> dict:
@@ -198,12 +190,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rho = _prepared_density(args)
+    rho = _prepared_density(args.family, args.theta, args.damp)
     arms = _arm_unitaries(args)
     if arms is not None:
         rho = apply_local_unitary(rho, *arms)
     settings = FULL_SETTINGS if args.settings == "full" else KMODE_SETTINGS
-    table = simulate_counts(rho, settings, _sim_config(args))
+    table = simulate_counts(rho, settings, SimConfig(args.n, args.noise, args.seed))
     _write_output(write_counts_csv(table), args.out)
     return 0
 
@@ -222,49 +214,41 @@ def _format_row(values) -> str:
 
 def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
+    cfg = SimConfig(args.n, args.noise, args.seed)
+    rhos = _prepared_density(args.family, grid, args.damp)
     arms = _arm_unitaries(args)
-    lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo"]
-    for idx, theta_deg in enumerate(grid):
-        point_args = argparse.Namespace(**vars(args), theta=float(theta_deg))
-        rho = _prepared_density(point_args)
-        if arms is not None:
-            rho = apply_local_unitary(rho, *arms)
-        cfg = _sim_config(args, seed=_point_seed(args.seed, idx))
-        table = simulate_counts(rho, FULL_SETTINGS, cfg)
-        res = g_from_counts(table)
-        row = (
-            theta_deg,
-            res.g,
-            res.delta_g,
-            _clamped_c_from_g(res.g),
-            concurrence(rho),
-            concurrence(project_to_physical(linear_inversion(res.t))),
-        )
-        lines.append(_format_row(row))
+    if arms is not None:
+        rhos = apply_local_unitary(rhos, *arms)
+    cols = list(range(len(FULL_SETTINGS)))
+    point_seeds = seed_states(cfg.seed, np.arange(len(grid)))[:, :1]  # SeedSequence([seed, idx]), word 0
+    n = _simulate(rhos, cols, cfg, point_seeds)
+    t, jac = _pauli_matrix(n, cols)
+    g, _, delta_g = _g_batch(n, t, jac, cfg.noise == "exact")
+    c_tomo = concurrence(project_to_physical(linear_inversion(t)))
+    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), concurrence(rhos), c_tomo])
+    lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo", *map(_format_row, rows.tolist())]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_sweep_k(args) -> int:
     grid = _sweep_grid(args)
-    prep = prepare_parallel if args.family == "parallel" else prepare_antiparallel
-    lines = ["theta_deg,k0,k1,k2,bound"]
-    for idx, theta_deg in enumerate(grid):
-        s = _schmidt_from_theta(float(theta_deg))
-        states = (
-            pure_to_density(prep(math.radians(float(theta_deg)))),
-            pure_to_density(_NAMED_STATES["HH"]),
-            pure_to_density(_NAMED_STATES["VH"]),
-        )
-        ks = []
-        for state_idx, rho in enumerate(states):
-            if args.noise == "exact":
-                ks.append(k_measure(rho, s).k)
-            else:
-                cfg = _sim_config(args, seed=_point_seed(args.seed, idx, state_idx))
-                table = simulate_counts(rho, KMODE_SETTINGS, cfg)
-                ks.append(k_from_counts(table, s).k)
-        lines.append(_format_row((theta_deg, *ks, k_separable_bound(s))))
+    cfg = SimConfig(args.n, args.noise, args.seed)
+    coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
+    fixed = pure_to_density(np.stack([_NAMED_STATES["HH"], _NAMED_STATES["VH"]]))
+    rhos = _prepared_density(args.family, grid, None)[:, None]
+    rhos = np.concatenate([rhos, np.broadcast_to(fixed, (len(grid), 2, 4, 4))], axis=1)  # (B, 3, 4, 4)
+    if cfg.noise == "exact":
+        t = pauli_expectation_matrix(rhos)
+    else:
+        cols = [_ORDINAL[s] for s in KMODE_SETTINGS]
+        seeds = seed_states(cfg.seed, np.arange(len(grid))[:, None], np.arange(3))[..., :1]
+        n = _simulate(rhos.reshape(-1, 4, 4), cols, cfg, seeds.reshape(-1, 1))
+        t = _pauli_matrix(n, cols)[0].reshape(rhos.shape)
+    ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
+    bounds = [k_separable_bound(s) for s in coeffs]
+    rows = np.column_stack([grid, ks, bounds])
+    lines = ["theta_deg,k0,k1,k2,bound", *map(_format_row, rows.tolist())]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -277,7 +261,7 @@ def _cmd_ilut_check(args) -> int:
         g2, d2 = r2.g, r2.delta_g
         inputs = {"files": list(args.counts_files)}
     elif not args.counts_files:
-        rho = _prepared_density(args)
+        rho = _prepared_density(args.family, args.theta, args.damp)
         arms = _arm_unitaries(args)
         if arms is None:
             raise ValueError("state mode needs at least one --hwp or --qwp flag to compare against")

@@ -21,6 +21,7 @@ independent, sigma_f^2 = sum_k (grad_t f . dt/dn_k)^2 n_k.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -124,17 +125,112 @@ def simulate_counts(rho: np.ndarray, settings: Iterable[Setting], cfg: SimConfig
     """
     settings = tuple(settings)
     ords = [_ORDINAL[s] for s in settings]
-    p = np.trace(np.asarray(rho) @ _PROJECTORS[ords], axis1=1, axis2=2)
-    if not np.isfinite(p).all():
+    n = _simulate(np.asarray(rho)[None], ords, cfg, cfg.seed)[0, ords]
+    seed = cfg.seed if cfg.noise == "poisson" else None
+    return CountsTable(counts=dict(zip(settings, n.tolist())), source=cfg.noise, seed=seed)
+
+
+def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, seed) -> np.ndarray:
+    """Canonical counts (B, 36) of the states rhos (B, 4, 4) at the ordinals
+    ords, zero elsewhere. Poisson count (b, o) draws from the substream of
+    key [seed_b, o]; seed is an int or a (B, 1) array of per-state seeds."""
+    if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
+    p = np.trace(rhos[:, None] @ _PROJECTORS[ords], axis1=-2, axis2=-1)
     residue = np.max(np.abs(p.imag), initial=0.0)
     if residue > 1e-10:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}; state is not Hermitian")
-    counts = (cfg.n_per_setting * np.where(p.real > 0.0, p.real, 0.0)).tolist()
+    counts = cfg.n_per_setting * np.where(p.real > 0.0, p.real, 0.0)
     if cfg.noise == "poisson":
-        counts = [float(np.random.default_rng([cfg.seed, o]).poisson(m)) for o, m in zip(ords, counts)]
-    seed = cfg.seed if cfg.noise == "poisson" else None
-    return CountsTable(counts=dict(zip(settings, counts)), source=cfg.noise, seed=seed)
+        counts = _poisson(counts, seed_states(seed, np.array(ords)))
+    n = np.zeros((len(rhos), len(FULL_SETTINGS)))
+    n[:, ords] = counts
+    return n
+
+
+def _poisson(means: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """One Poisson draw per mean, each from a PCG64 seeded with its own four
+    SeedSequence state words. numpy.random is imported here, not at module
+    import: it costs 13-18 ms that runs without Poisson noise need not pay."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StateWords)
+    draws = [Generator(PCG64(_StateWords(w))).poisson(m) for m, w in zip(means.ravel().tolist(), states.reshape(-1, 4))]
+    return np.array(draws, dtype=float).reshape(means.shape)
+
+
+class _StateWords:
+    """An ISeedSequence that hands PCG64 a precomputed generate_state(4, np.uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seed_states(*key) -> np.ndarray:
+    """np.random.SeedSequence([k0, k1, ...]).generate_state(4, np.uint64) for
+    every key of the broadcast parts k0, k1, ..., bit for bit: shape (..., 4).
+
+    A part is a nonnegative int of any size or an array of nonnegative
+    integers below 2**64. SeedSequence takes each value as its little-endian
+    32-bit words, zero as one word; word 0 of the result is
+    generate_state(1, np.uint64), since generate_state is prefix-consistent.
+    """
+    shape = np.broadcast_shapes(*(np.shape(p) for p in key))
+    words = []  # (32-bit word, whether the key has it)
+    for part in key:
+        if np.ndim(part) == 0 and operator.index(part) >= 0:
+            part = operator.index(part)
+            words += [(part >> s & 0xFFFFFFFF, True) for s in range(0, max(part.bit_length(), 1), 32)]
+        elif np.ndim(part) and (np.asarray(part) >= 0).all():
+            part = np.asarray(part).astype(np.uint64)
+            words += [(part.astype(np.uint32), True), ((part >> 32).astype(np.uint32), part >> 32 > 0)]
+        else:
+            raise ValueError(f"seed must be a nonnegative integer, got {part!r}")
+    entropy = np.empty((len(words),) + shape, dtype=np.uint32)
+    have = np.empty((len(words),) + shape, dtype=bool)
+    for i, (word, has) in enumerate(words):
+        entropy[i], have[i] = word, has
+    entropy, have = entropy.reshape(len(words), -1), have.reshape(len(words), -1)
+    entropy = np.take_along_axis(entropy, np.argsort(~have, axis=0, kind="stable"), axis=0)
+    length = have.sum(axis=0)
+    out = np.empty((length.size, 4), dtype=np.uint64)
+    for size in np.flatnonzero(np.bincount(length)):
+        out[length == size] = _seed_pool(entropy[:size, length == size])
+    return out.reshape(shape + (4,))
+
+
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool mixing and generate_state(4, np.uint64) for each
+    column of the (L, K) uint32 entropy: (K, 4) uint64. Hash call j xors with
+    constant j and multiplies by constant j + 1 whatever it hashes, so calls
+    that do not depend on one another run as one array operation."""
+
+    def consts(c: int, mult: int, n: int) -> np.ndarray:  # c * mult**j mod 2**32, j = 0..n
+        return np.array([c * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(n + 1)], dtype=np.uint32)[:, None]
+
+    def hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
+        v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
+        return v ^ v >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ r >> np.uint32(16)
+
+    c = consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = hashmix(pool, c, 0)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], c, 4 + 3 * src))
+    for i, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(np.stack([word] * 4), c, 16 + 4 * i))
+    v = hashmix(pool[[0, 1, 2, 3] * 2], consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
+    return (v[0::2] | v[1::2] << np.uint64(32)).T
 
 
 # ---------------------------------------------------------------------------
@@ -251,42 +347,47 @@ _MEMBER = (_SIGN != 0).astype(float)
 
 
 def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The group-normalized estimator: (n, t, dt/dn) from the given settings.
+    """The group-normalized estimator: (n, t, dt/dn) from the given settings,
+    n the 36-count vector in canonical order, zero outside `settings`."""
+    table.require(settings)
+    cols = [_ORDINAL[s] for s in settings]
+    n = np.zeros((1, len(FULL_SETTINGS)))
+    n[0, cols] = [table.counts[s] for s in settings]
+    t, jac = _pauli_matrix(n, cols)
+    return n[0], t[0], jac[0]
 
-    n is the 36-count vector in canonical order, zero outside `settings`;
+
+def _pauli_matrix(n: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """t (B, 4, 4) and dt/dn (B, 16, 36) from canonical counts n (B, 36)
+    measured at the ordinals cols.
+
     t[i, j] = sum_k s_k n_k / T over the group of total T that the entry
     reads, with t[0, 0] = 1; the Jacobian row of entry e is
     dt_e/dn_k = (s_k - t_e) / T on the group and zero elsewhere. Entries
-    whose group lies outside `settings` are 0 with zero derivative.
+    whose group lies outside cols are 0 with zero derivative.
     """
-    table.require(settings)
-    cols = [_ORDINAL[s] for s in settings]
-    n = np.zeros(len(FULL_SETTINGS))
-    n[cols] = [table.counts[s] for s in settings]
-    total = _MEMBER @ n
+    total = (_MEMBER @ n[:, :, None])[:, :, 0]
     read = _MEMBER[:, cols].any(axis=1)
-    empty = read & (total <= 0)
+    empty = read & (total <= 0).any(axis=0)
     if empty.any():
         i, j = divmod(int(np.argmax(empty)), 4)
         raise ValueError(f"settings group ({i or j}, {j or i}) has zero total counts")
-    inv = np.divide(1.0, total, out=np.zeros(16), where=read)
-    t = (_SIGN @ n) * inv
-    jac = _MEMBER * (_SIGN - t[:, None]) * inv[:, None]
-    t[0] = 1.0
-    return n, t.reshape(4, 4), jac
+    inv = np.divide(1.0, total, out=np.zeros_like(total), where=read)
+    t = (_SIGN @ n[:, :, None])[:, :, 0] * inv
+    jac = _MEMBER * (_SIGN - t[:, :, None]) * inv[:, :, None]
+    t[:, 0] = 1.0
+    return t.reshape(-1, 4, 4), jac
 
 
-def _delta(table: CountsTable, n: np.ndarray, grad_n: np.ndarray) -> float:
+def _delta(n: np.ndarray, grad_n: np.ndarray, exact: bool) -> np.ndarray:
     """First-order Poisson sigma: var(n_k) = n_k, settings independent,
-    grad_n the estimate's gradient in the counts. Zero for exact tables."""
-    if table.is_exact:
-        return 0.0
-    return float(np.sqrt(np.sum(grad_n * grad_n * n)))
+    grad_n the estimate's gradient in the counts (..., 36). Zero when exact."""
+    return np.zeros(n.shape[:-1]) if exact else np.sqrt(np.sum(grad_n * grad_n * n, axis=-1))
 
 
 def _entry(table: CountsTable, settings: tuple[Setting, ...], i: int, j: int) -> EstimatedValue:
     n, t, jac = _estimate(table, settings)
-    return EstimatedValue(value=float(t[i, j]), sigma=_delta(table, n, jac[4 * i + j]))
+    return EstimatedValue(value=float(t[i, j]), sigma=float(_delta(n, jac[4 * i + j], table.is_exact)))
 
 
 def joint_expectation(table: CountsTable, i: int, j: int) -> EstimatedValue:
@@ -302,6 +403,13 @@ def marginal_expectation(table: CountsTable, side: str, i: int) -> EstimatedValu
     return _entry(table, group_settings(i, i), *entry)
 
 
+def _g_batch(n: np.ndarray, t: np.ndarray, jac: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g (B,), covariance (B, 3, 3) and delta_g (B,) from canonical counts
+    n (B, 36) and their estimate t, dt/dn; delta_g is 0 for exact counts."""
+    g, cov, grad = _g_terms(t)
+    return g, cov, _delta(n, (grad.reshape(-1, 1, 16) @ jac)[:, 0], exact)
+
+
 def g_from_counts(table: CountsTable) -> GResult:
     """Covariance-sum measure from a full 36-setting table, with error bar.
 
@@ -310,8 +418,8 @@ def g_from_counts(table: CountsTable) -> GResult:
     counts as independent Poisson variables (zero for exact tables).
     """
     n, t, jac = _estimate(table, FULL_SETTINGS)
-    g, cov, grad = _g_terms(t)
-    return GResult(g=g, covariance=cov, delta_g=_delta(table, n, grad.reshape(16) @ jac), t=t)
+    g, cov, delta = _g_batch(n[None], t[None], jac[None], table.is_exact)
+    return GResult(g=float(g[0]), covariance=cov[0], delta_g=float(delta[0]), t=t)
 
 
 def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
@@ -323,10 +431,10 @@ def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
     true value is 0.
     """
     n, t, jac = _estimate(table, KMODE_SETTINGS)
-    k, m, grad = _k_terms(t, s)
+    k, m, grad = _k_terms(t, s.a, s.b)
     return KResult(
-        k=max(0.0, k),
+        k=float(k),
         expectations=tuple(m.tolist()),
         bound=k_separable_bound(s),
-        delta_k=_delta(table, n, grad @ jac),
+        delta_k=float(_delta(n, grad @ jac, table.is_exact)),
     )

@@ -34,9 +34,10 @@ _SIGMA_YY = tensor_product(pauli_operator(2), pauli_operator(2))
 
 
 def pauli_expectation_matrix(rho: np.ndarray) -> np.ndarray:
-    """4x4 matrix t with t[i, j] = <sigma_i (x) sigma_j>; t[0, 0] = 1."""
-    t = np.einsum("kij,ji->k", _PAULI_TENSOR, np.asarray(rho)).real
-    return t.reshape(4, 4)
+    """4x4 matrix t with t[i, j] = <sigma_i (x) sigma_j>; t[0, 0] = 1.
+    A stack of states (..., 4, 4) gives a stack of matrices."""
+    t = np.einsum("kij,...ji->...k", _PAULI_TENSOR, np.asarray(rho)).real
+    return t.reshape(t.shape[:-1] + (4, 4))
 
 
 def covariance(rho: np.ndarray, i: int, j: int) -> float:
@@ -54,20 +55,21 @@ def covariance_matrix(rho: np.ndarray) -> np.ndarray:
     return _g_terms(pauli_expectation_matrix(rho))[1]
 
 
-def _g_terms(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """g, the covariance matrix C and dg/dt (4x4) at the Pauli matrix t.
+def _g_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, the covariance matrix C and dg/dt (4x4) at each Pauli matrix of
+    the stack t (..., 4, 4).
 
     C = t[1:, 1:] - a b^T with marginals a = t[1:, 0], b = t[0, 1:], and
     g = ||C||^2, so dg/dt is 2C on the joint entries, -2 C b on a and
     -2 a^T C on b.
     """
-    a, b = t[1:, 0], t[0, 1:]
-    cov = t[1:, 1:] - np.outer(a, b)
-    grad = np.zeros((4, 4))
-    grad[1:, 1:] = 2.0 * cov
-    grad[1:, 0] = -2.0 * cov @ b
-    grad[0, 1:] = -2.0 * a @ cov
-    return float(np.sum(cov * cov)), cov, grad
+    a, b = t[..., 1:, 0], t[..., 0, 1:]
+    cov = t[..., 1:, 1:] - a[..., :, None] * b[..., None, :]
+    grad = np.zeros(t.shape)
+    grad[..., 1:, 1:] = 2.0 * cov
+    grad[..., 1:, 0] = (-2.0 * cov @ b[..., :, None])[..., 0]
+    grad[..., 0, 1:] = (-2.0 * a[..., None, :] @ cov)[..., 0, :]
+    return np.sum(cov * cov, axis=(-2, -1)), cov, grad
 
 
 @dataclass
@@ -83,23 +85,25 @@ class GResult:
 def g_measure(rho: np.ndarray) -> GResult:
     """Sum of the nine squared Pauli covariances of rho."""
     g, cov, _ = _g_terms(pauli_expectation_matrix(rho))
-    return GResult(g=g, covariance=cov)
+    return GResult(g=float(g), covariance=cov)
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence c = max(0, l1 - l2 - l3 - l4).
 
     The l_k are the descending square roots of the eigenvalues of
     rho (YY) rho* (YY). They are computed here as the singular values of
     sqrt(rho) (YY) sqrt(rho)*, which is exact at rank deficiency where the
-    non-normal product's eigensolve loses half its digits.
+    non-normal product's eigensolve loses half its digits. A stack of
+    states (..., 4, 4) gives an array of concurrences.
     """
     rho = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    sq = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    sq = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     m = sq @ _SIGMA_YY @ sq.conj()
     s = np.linalg.svd(m, compute_uv=False)
-    return float(min(1.0, max(0.0, s[0] - s[1] - s[2] - s[3])))
+    c = np.minimum(np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0), 1.0)
+    return c if c.ndim else float(c)
 
 
 def g_from_concurrence(c: float) -> float:
@@ -110,12 +114,13 @@ def g_from_concurrence(c: float) -> float:
     return c * c * (c * c + 2.0)
 
 
-def concurrence_from_g(g: float) -> float:
-    """Inverse of the pure-state map: c = sqrt(sqrt(g + 1) - 1)."""
-    if not -1e-12 <= g <= 3.0 + 1e-12:
-        raise OutOfRange(f"g must be in [0, 3], got {g!r}")
-    g = min(3.0, max(0.0, g))
-    return float(np.sqrt(np.sqrt(g + 1.0) - 1.0))
+def concurrence_from_g(g: float | np.ndarray) -> float | np.ndarray:
+    """Inverse of the pure-state map: c = sqrt(sqrt(g + 1) - 1), elementwise on an array."""
+    g = np.asarray(g, dtype=float)
+    if not ((-1e-12 <= g) & (g <= 3.0 + 1e-12)).all():  # written so that NaN fails too
+        raise OutOfRange(f"g must be in [0, 3], got {g.tolist()!r}")
+    c = np.sqrt(np.sqrt(np.minimum(np.maximum(g, 0.0), 3.0) + 1.0) - 1.0)
+    return c if c.ndim else float(c)
 
 
 def mixed_state_bounds(rho: np.ndarray) -> tuple[float, float, float]:
@@ -203,15 +208,17 @@ class KObservables:
     projectors: tuple = field(repr=False)
 
 
+def _k_projectors(a, b) -> np.ndarray:
+    """M_1..M_4 for coefficients a, b (scalars or arrays): shape (..., 4, 4, 4)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    kets = np.zeros(a.shape + (16,), dtype=complex)
+    kets[..., [0, 3, 5, 6, 9, 10, 12, 15]] = np.stack([a, b, a, b, b, -a, b, -a], axis=-1)
+    kets = kets.reshape(a.shape + (4, 4))  # a|00>+b|11>, a|01>+b|10>, b|01>-a|10>, b|00>-a|11>
+    return kets[..., :, None] * kets.conj()[..., None, :]
+
+
 def k_observables(s: SchmidtCoeffs) -> KObservables:
-    a, b = s.a, s.b
-    kets = (
-        np.array([a, 0, 0, b], dtype=complex),
-        np.array([0, a, b, 0], dtype=complex),
-        np.array([0, b, -a, 0], dtype=complex),
-        np.array([b, 0, 0, -a], dtype=complex),
-    )
-    return KObservables(coeffs=s, projectors=tuple(np.outer(k, k.conj()) for k in kets))
+    return KObservables(coeffs=s, projectors=tuple(_k_projectors(s.a, s.b)))
 
 
 def k_separable_bound(s: SchmidtCoeffs) -> float:
@@ -229,20 +236,23 @@ class KResult:
     delta_k: float | None = None
 
 
-def _k_terms(t: np.ndarray, s: SchmidtCoeffs) -> tuple[float, np.ndarray, np.ndarray]:
-    """k, the projector expectations m and dk/dt (16,) at the Pauli matrix t.
+def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k clamped at 0, the projector expectations m and dk/dt (16,) at each
+    Pauli matrix of the stack t (..., 4, 4), for Schmidt coefficients a, b
+    (scalars, or arrays that broadcast against the stack).
 
     m = P t with P[i, e] = tr(sigma_e M_i) / 4, since rho = sum_e t_e sigma_e / 4.
     Only II, IZ, ZI, ZZ, XX and YY carry weight, because
     |00><11| + h.c. = (XX - YY) / 2 and |01><10| + h.c. = (XX + YY) / 2.
     """
-    proj = np.einsum("eij,mji->me", _PAULI_TENSOR, np.stack(k_observables(s).projectors)).real / 4.0
-    m = proj @ t.reshape(16)
-    return float(np.sum(m - m * m)), m, (1.0 - 2.0 * m) @ proj
+    proj = np.einsum("eij,...mji->...me", _PAULI_TENSOR, _k_projectors(a, b)).real / 4.0
+    m = (proj @ t.reshape(t.shape[:-2] + (16, 1)))[..., 0]
+    k = np.sum(m - m * m, axis=-1)
+    grad = ((1.0 - 2.0 * m)[..., None, :] @ proj)[..., 0, :]
+    return np.where(k > 0.0, k, 0.0), m, grad  # max(0, k): noise or rounding can leave k < 0
 
 
 def k_measure(rho: np.ndarray, s: SchmidtCoeffs) -> KResult:
     """k = sum_i (<M_i> - <M_i>^2), using the projector identity M_i^2 = M_i."""
-    k, m, _ = _k_terms(pauli_expectation_matrix(rho), s)
-    k = max(0.0, k)  # rounding can leave -1e-16
-    return KResult(k=k, expectations=tuple(m.tolist()), bound=k_separable_bound(s))
+    k, m, _ = _k_terms(pauli_expectation_matrix(rho), s.a, s.b)
+    return KResult(k=float(k), expectations=tuple(m.tolist()), bound=k_separable_bound(s))

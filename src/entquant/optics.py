@@ -67,16 +67,19 @@ PAULI_EIGENBASIS = {
 }
 
 
-def prepare_parallel(theta: float) -> np.ndarray:
-    """cos(2 theta)|HH> + sin(2 theta)|VV>, the pump-angle-parameterized family."""
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    return np.array([c, 0, 0, s], dtype=complex)
+def prepare_parallel(theta) -> np.ndarray:
+    """cos(2 theta)|HH> + sin(2 theta)|VV>, the pump-angle-parameterized family.
+    An array of angles gives a stack of state vectors."""
+    c, s = np.cos(2 * np.asarray(theta)), np.sin(2 * np.asarray(theta))
+    z = np.zeros_like(c)
+    return np.stack([c, z, z, s], axis=-1).astype(complex)
 
 
-def prepare_antiparallel(theta: float) -> np.ndarray:
-    """cos(2 theta)|HV> - sin(2 theta)|VH>."""
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    return np.array([0, c, -s, 0], dtype=complex)
+def prepare_antiparallel(theta) -> np.ndarray:
+    """cos(2 theta)|HV> - sin(2 theta)|VH>; an array of angles gives a stack."""
+    c, s = np.cos(2 * np.asarray(theta)), np.sin(2 * np.asarray(theta))
+    z = np.zeros_like(c)
+    return np.stack([z, c, -s, z], axis=-1).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,10 @@ class ChannelSpec:
 
 
 def phase_damping(rho: np.ndarray, chan: ChannelSpec) -> np.ndarray:
-    """Apply the two-arm phase-damping channel: all four joint Kraus terms."""
+    """Apply the two-arm phase-damping channel: all four joint Kraus terms.
+    A stack of states (..., 4, 4) is damped state by state."""
     local = chan.local_kraus()
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.zeros(np.shape(rho), dtype=complex)
     for ka in local:
         for kb in local:
             k = tensor_product(ka, kb)

@@ -29,32 +29,33 @@ def linear_inversion(t: np.ndarray) -> np.ndarray:
     """rho_raw = (1/4) sum_ij t[i, j] sigma_i (x) sigma_j.
 
     Hermitian with unit trace by construction; eigenvalues may be negative
-    when t was estimated from noisy counts.
+    when t was estimated from noisy counts. A stack t (..., 4, 4) gives a
+    stack of matrices.
     """
-    coeffs = np.asarray(t, dtype=float).reshape(16)
-    return np.einsum("k,kij->ij", coeffs, _PAULI_TENSOR) / 4.0
+    t = np.asarray(t, dtype=float)
+    return np.einsum("...k,kij->...ij", t.reshape(t.shape[:-2] + (16,)), _PAULI_TENSOR) / 4.0
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = ks[u + (1.0 - css) / ks > 0][-1]
-    theta = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + theta, 0.0)
+    """Euclidean projection of each row of v (..., d) onto {x >= 0, sum x = 1}."""
+    u = np.sort(v, axis=-1)[..., ::-1]
+    ks = np.arange(1, v.shape[-1] + 1)
+    theta = (1.0 - np.cumsum(u, axis=-1)) / ks
+    rho = np.where(u + theta > 0, ks, 0).max(axis=-1, keepdims=True)  # the last k that passes
+    return np.maximum(v + np.take_along_axis(theta, rho - 1, axis=-1), 0.0)
 
 
 def project_to_physical(rho_raw: np.ndarray) -> np.ndarray:
     """Nearest density matrix: Hermitize, then simplex-project the spectrum.
 
-    Idempotent, and the identity on inputs that are already physical.
+    Idempotent, and the identity on inputs that are already physical. A
+    stack (..., 4, 4) is projected matrix by matrix.
     """
     m = np.asarray(rho_raw, dtype=complex)
-    m = (m + m.conj().T) / 2.0
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     w, v = np.linalg.eigh(m)
     w = _project_simplex(w)
-    out = (v * w) @ v.conj().T
+    out = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return validate_density(out)
 
 

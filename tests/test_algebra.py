@@ -163,6 +163,16 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             validate_density(np.eye(4) / 4, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(np.diag([1.1, -0.1, 0, 0]), NegativeEigenvalue), (np.diag([0.6, 0.6, 0, 0]), BadTrace)],
+    )
+    def test_stack_is_checked_matrix_by_matrix(self, bad, error):
+        good = np.eye(4, dtype=complex) / 4
+        validate_density(np.stack([good, good]))
+        with pytest.raises(error):
+            validate_density(np.stack([good, bad.astype(complex), good]))
+
 
 class TestRandomStates:
     def test_same_seed_reproduces(self):

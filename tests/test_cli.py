@@ -1,11 +1,40 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from entquant import cli, counts, data_file, parse_counts_csv, tomo_concurrence, tomography
+from entquant import (
+    FULL_SETTINGS,
+    KMODE_SETTINGS,
+    ChannelSpec,
+    SchmidtCoeffs,
+    SimConfig,
+    WaveplateSpec,
+    apply_local_unitary,
+    cli,
+    concurrence,
+    concurrence_from_g,
+    counts,
+    data_file,
+    g_from_counts,
+    k_from_counts,
+    k_measure,
+    k_separable_bound,
+    linear_inversion,
+    parse_counts_csv,
+    phase_damping,
+    prepare_antiparallel,
+    prepare_parallel,
+    project_to_physical,
+    pure_to_density,
+    simulate_counts,
+    tomo_concurrence,
+    tomography,
+    waveplate_unitary,
+)
 
 BLOCK1 = data_file("tableII_block1.csv")
 BLOCK2 = data_file("tableII_block2.csv")
@@ -74,6 +103,13 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--theta" in proc.stderr and "non-finite" not in proc.stderr
+
+    @pytest.mark.parametrize("theta", ["180.01", "90", "-0.5"])
+    def test_theta_outside_quadrant_exits_2(self, theta):
+        proc = run_cli("analyze", BLOCK1, "--theta", theta)
+        assert proc.returncode == 2
+        assert "--theta must lie in [0, 45] degrees" in proc.stderr
+        assert proc.stdout == ""
 
     def test_theta_flag_adds_k_section(self):
         report = run_json("analyze", BLOCK1, "--theta", "22.5")
@@ -159,6 +195,11 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    def test_negative_poisson_seed_exits_2(self):
+        proc = run_cli("simulate", "--family", "parallel", "--theta", "10", "--noise", "poisson", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_bad_damp_flag(self):
         proc = run_cli("simulate", "--family", "parallel", "--theta", "10", "--damp", "y:0.5")
         assert proc.returncode == 2
@@ -196,6 +237,11 @@ class TestSweepG:
         _, rows = read_csv_rows(out.read_text())
         assert rows[-1]["c_true"] == pytest.approx(np.sin(np.radians(60)), abs=1e-9)
         assert rows[-1]["g"] == pytest.approx(33.0 / 16.0, abs=1e-9)
+
+    def test_negative_poisson_seed_exits_2(self):
+        proc = run_cli("sweep-g", "--noise", "poisson", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_bad_grid_exits_2(self):
         assert run_cli("sweep-g", "--steps", "1").returncode == 2
@@ -300,3 +346,95 @@ class TestCliContract:
         )
         report = run_json("analyze", str(sim))
         assert report["inputs"]["seed"] == 23
+
+
+def _point_seed(seed, *indices):
+    return int(np.random.SeedSequence([seed, *indices]).generate_state(1, dtype=np.uint64)[0])
+
+
+def _row(values):
+    return ",".join(f"{v:.12g}" for v in values)
+
+
+def reference_sweep_g(family, grid, noise, seed, n, damp=None, arms=None):
+    """sweep-g written one point at a time through the single-table API."""
+    prep = prepare_parallel if family == "parallel" else prepare_antiparallel
+    lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo"]
+    for idx, theta in enumerate(grid):
+        rho = pure_to_density(prep(math.radians(float(theta))))
+        if damp is not None:
+            rho = phase_damping(rho, damp)
+        if arms is not None:
+            rho = apply_local_unitary(rho, *arms)
+        table = simulate_counts(rho, FULL_SETTINGS, SimConfig(n, noise, _point_seed(seed, idx)))
+        res = g_from_counts(table)
+        c_tomo = concurrence(project_to_physical(linear_inversion(res.t)))
+        c_g = concurrence_from_g(min(3.0, max(0.0, res.g)))
+        lines.append(_row((theta, res.g, res.delta_g, c_g, concurrence(rho), c_tomo)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_sweep_k(family, grid, noise, seed, n):
+    """sweep-k written one point and one state at a time."""
+    prep = prepare_parallel if family == "parallel" else prepare_antiparallel
+    fixed = [pure_to_density(np.eye(4, dtype=complex)[i]) for i in (0, 2)]  # HH, VH
+    lines = ["theta_deg,k0,k1,k2,bound"]
+    for idx, theta in enumerate(grid):
+        rad = math.radians(float(theta))
+        s = SchmidtCoeffs(math.cos(2 * rad), math.sin(2 * rad))
+        ks = []
+        for state_idx, rho in enumerate([pure_to_density(prep(rad)), *fixed]):
+            if noise == "exact":
+                ks.append(k_measure(rho, s).k)
+            else:
+                cfg = SimConfig(n, noise, _point_seed(seed, idx, state_idx))
+                ks.append(k_from_counts(simulate_counts(rho, KMODE_SETTINGS, cfg), s).k)
+        lines.append(_row((theta, *ks, k_separable_bound(s))))
+    return "\n".join(lines) + "\n"
+
+
+def run_in_process(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+class TestSweepsMatchPerPointLoop:
+    """The batched sweeps write the bytes that one single-table call per point writes."""
+
+    @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
+    @pytest.mark.parametrize("noise,seed", [("exact", 0), ("poisson", 0), ("poisson", 977), ("poisson", 2**100 + 7)])
+    def test_sweep_g(self, capsys, family, noise, seed):
+        got = run_in_process(capsys, "sweep-g", "--family", family, "--steps", "23", "--noise", noise,
+                             "--seed", str(seed), "--n", "500")
+        assert got == reference_sweep_g(family, np.linspace(0, 45, 23), noise, seed, 500.0)
+
+    @pytest.mark.parametrize("noise", ["exact", "poisson"])
+    def test_sweep_g_with_waveplate_and_damping(self, capsys, noise):
+        got = run_in_process(capsys, "sweep-g", "--family", "antiparallel", "--start", "5", "--stop", "40",
+                             "--steps", "15", "--noise", noise, "--seed", "31", "--hwp", "a:10", "--qwp", "b:33",
+                             "--damp", "z:0.3")
+        arms = (waveplate_unitary(WaveplateSpec("HWP", math.radians(10))),
+                waveplate_unitary(WaveplateSpec("QWP", math.radians(33))))
+        want = reference_sweep_g("antiparallel", np.linspace(5, 40, 15), noise, 31, 5000.0,
+                                 damp=ChannelSpec("z", 0.3), arms=arms)
+        assert got == want
+
+    @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
+    @pytest.mark.parametrize("noise,seed", [("exact", 0), ("poisson", 0), ("poisson", 2**64 + 3)])
+    def test_sweep_k(self, capsys, family, noise, seed):
+        got = run_in_process(capsys, "sweep-k", "--family", family, "--steps", "19", "--noise", noise,
+                             "--seed", str(seed), "--n", "200")
+        assert got == reference_sweep_k(family, np.linspace(0, 45, 19), noise, seed, 200.0)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import entquant.cli\n"
+        "print(eager, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random eagerly")
+    assert out == ["False", "False"]

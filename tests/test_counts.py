@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from entquant import (
     simulate_counts,
     write_counts_csv,
 )
-from entquant.counts import group_settings
+from entquant.counts import group_settings, seed_states
 from entquant.errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -139,6 +141,62 @@ class TestSimulateMatchesReference:
     def test_non_finite_state_rejected(self, noise):
         with pytest.raises(ValueError, match="not finite"):
             simulate_counts(np.full((4, 4), np.nan), FULL_SETTINGS, SimConfig(100, noise))
+
+    def test_infinite_state_rejected_without_a_numpy_warning(self):
+        for i in range(16):
+            rho = np.eye(4, dtype=complex) / 4
+            rho.flat[i] = np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="state is not finite"):
+                    simulate_counts(rho, FULL_SETTINGS, SimConfig(100, "poisson"))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**100 + 7]
+SEEDS += [int(x) for x in np.random.default_rng(2024).integers(0, 2**63, size=50)]
+
+
+def seed_sequence_state(*key):
+    return np.random.SeedSequence(list(key)).generate_state(4, np.uint64)
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence_over_ordinals(self, seed):
+        got = seed_states(seed, np.arange(36))
+        assert got.dtype == np.uint64 and got.shape == (36, 4)
+        for o in range(36):
+            assert np.array_equal(got[o], seed_sequence_state(seed, o)), (seed, o)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 2**96, 2**100 + 7, 12345])
+    def test_matches_seed_sequence_on_three_part_keys(self, seed):
+        got = seed_states(seed, np.arange(5)[:, None], np.arange(3))
+        assert got.shape == (5, 3, 4)
+        for i in range(5):
+            for j in range(3):
+                assert np.array_equal(got[i, j], seed_sequence_state(seed, i, j)), (seed, i, j)
+
+    def test_uint64_array_part_with_and_without_high_words(self):
+        seeds = np.array([0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1], dtype=np.uint64)
+        got = seed_states(seeds[:, None], np.arange(36))
+        for b, seed in enumerate(seeds):
+            for o in range(36):
+                assert np.array_equal(got[b, o], seed_sequence_state(int(seed), o)), (int(seed), o)
+
+    def test_first_word_is_the_one_word_state(self):
+        for seed in SEEDS[:10]:
+            want = np.random.SeedSequence([seed, 7]).generate_state(1, np.uint64)[0]
+            assert seed_states(seed, 7)[0] == want
+
+    @pytest.mark.parametrize("key", [(-1, np.arange(3)), (5, np.array([0, -2]))])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ValueError, match="nonnegative"):
+            seed_states(*key)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**100 + 7])
+    def test_simulate_counts_with_huge_seed_matches_reference(self, singlet, seed):
+        cfg = SimConfig(5000, "poisson", seed)
+        assert simulate_counts(singlet, FULL_SETTINGS, cfg).counts == reference_counts(singlet, FULL_SETTINGS, cfg)
 
 
 class TestCsvRoundTrip:

@@ -134,6 +134,21 @@ class TestProjectToPhysical:
         np.testing.assert_allclose(project_to_physical(maximally_mixed), maximally_mixed, atol=1e-14)
 
 
+class TestStacks:
+    def test_stack_equals_matrix_by_matrix(self):
+        rng = np.random.default_rng(93)
+        ts = np.stack([pauli_vector_from_counts(
+            simulate_counts(random_density(int(s)), FULL_SETTINGS, SimConfig(50, "poisson", int(s))))
+            for s in rng.integers(0, 2**31, size=12)])
+        raw = linear_inversion(ts)
+        phys = project_to_physical(raw)
+        for k in range(len(ts)):
+            np.testing.assert_array_equal(raw[k], linear_inversion(ts[k]))
+            np.testing.assert_array_equal(phys[k], project_to_physical(raw[k]))
+        np.testing.assert_array_equal(concurrence(phys), [concurrence(p) for p in phys])
+        assert isinstance(concurrence(phys[0]), float)
+
+
 class TestTomoConcurrence:
     def test_exact_singlet(self, singlet):
         assert tomo_concurrence(exact_table(singlet)) == pytest.approx(1.0, abs=1e-9)
