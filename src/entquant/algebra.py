@@ -28,9 +28,6 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-KET_H = np.array([1, 0], dtype=complex)
-KET_V = np.array([0, 1], dtype=complex)
-
 
 def pauli_operator(i: int) -> np.ndarray:
     """Return the 2x2 Pauli matrix for index i in {0, 1, 2, 3} (0 = identity)."""

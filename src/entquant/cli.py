@@ -27,7 +27,6 @@ from .counts import (
     g_from_counts,
     k_from_counts,
     parse_counts_csv,
-    seed_states,
     simulate_counts,
     write_counts_csv,
 )
@@ -62,6 +61,7 @@ _NAMED_STATES = {
     "VH": np.array([0, 0, 1, 0], dtype=complex),
     "VV": np.array([0, 0, 0, 1], dtype=complex),
 }
+_PREPARE = {"parallel": prepare_parallel, "antiparallel": prepare_antiparallel}
 
 
 def _read_table(path: str) -> CountsTable:
@@ -81,20 +81,9 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _check_finite(node) -> None:
-    if isinstance(node, dict):
-        for v in node.values():
-            _check_finite(v)
-    elif isinstance(node, (list, tuple)):
-        for v in node:
-            _check_finite(v)
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ValueError("report contains a non-finite numeric field")
-
-
 def _emit_report(report: dict, out: str | None) -> None:
-    _check_finite(report)
-    _write_output(json.dumps(report, indent=2), out)
+    # json raises ValueError on a NaN or infinite field before anything is written
+    _write_output(json.dumps(report, indent=2, allow_nan=False), out)
 
 
 def _clamped_c_from_g(g):
@@ -134,15 +123,15 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
     return units["a"], units["b"]
 
 
-def _prepared_density(family: str | None, theta, damp: str | None) -> np.ndarray:
-    """family/theta state (a stack for an array of angles), passed through damp when given."""
-    if family is None or theta is None:
+def _prepared_density(args, theta, arms=None) -> np.ndarray:
+    """--family state at theta (a stack for an array of angles), through
+    --damp when given, then through the arm unitaries when given."""
+    if args.family is None or theta is None:
         raise ValueError("a state spec requires --family and --theta")
-    prep = prepare_parallel if family == "parallel" else prepare_antiparallel
-    rho = pure_to_density(prep(np.radians(theta)))
-    if damp:
-        rho = phase_damping(rho, _parse_damp(damp))
-    return rho
+    rho = pure_to_density(_PREPARE[args.family](np.radians(theta)))
+    if args.damp:
+        rho = phase_damping(rho, _parse_damp(args.damp))
+    return rho if arms is None else apply_local_unitary(rho, *arms)
 
 
 def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
@@ -152,7 +141,8 @@ def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
     return SchmidtCoeffs(a=math.cos(2 * rad), b=math.sin(2 * rad))
 
 
-def _table_report(table: CountsTable, inputs: dict, tomo: bool, theta_deg: float | None) -> dict:
+def _cmd_analyze(args) -> int:
+    table = _read_table(args.counts_file)
     res = g_from_counts(table)
     report = {
         "g": res.g,
@@ -160,10 +150,10 @@ def _table_report(table: CountsTable, inputs: dict, tomo: bool, theta_deg: float
         "covariance": res.covariance.tolist(),
         "concurrence_from_g": _clamped_c_from_g(res.g),
     }
-    if tomo:
+    if args.tomo:
         report["tomo_concurrence"] = concurrence(project_to_physical(linear_inversion(res.t)))
-    if theta_deg is not None:
-        s = _schmidt_from_theta(theta_deg)
+    if args.theta is not None:
+        s = _schmidt_from_theta(args.theta)
         kres = k_from_counts(table, s)
         report["k"] = {
             "value": kres.k,
@@ -171,29 +161,15 @@ def _table_report(table: CountsTable, inputs: dict, tomo: bool, theta_deg: float
             "expectations": list(kres.expectations),
             "delta_k": kres.delta_k,
         }
+    report["inputs"] = {"file": args.counts_file, "source": table.source}
     if table.seed is not None:
-        inputs = {**inputs, "seed": table.seed}
-    report["inputs"] = inputs
-    return report
-
-
-def _cmd_analyze(args) -> int:
-    table = _read_table(args.counts_file)
-    report = _table_report(
-        table,
-        inputs={"file": args.counts_file, "source": table.source},
-        tomo=args.tomo,
-        theta_deg=args.theta,
-    )
+        report["inputs"]["seed"] = table.seed
     _emit_report(report, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    rho = _prepared_density(args.family, args.theta, args.damp)
-    arms = _arm_unitaries(args)
-    if arms is not None:
-        rho = apply_local_unitary(rho, *arms)
+    rho = _prepared_density(args, args.theta, _arm_unitaries(args))
     settings = FULL_SETTINGS if args.settings == "full" else KMODE_SETTINGS
     table = simulate_counts(rho, settings, SimConfig(args.n, args.noise, args.seed))
     _write_output(write_counts_csv(table), args.out)
@@ -215,13 +191,9 @@ def _format_row(values) -> str:
 def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
     cfg = SimConfig(args.n, args.noise, args.seed)
-    rhos = _prepared_density(args.family, grid, args.damp)
-    arms = _arm_unitaries(args)
-    if arms is not None:
-        rhos = apply_local_unitary(rhos, *arms)
+    rhos = _prepared_density(args, grid, _arm_unitaries(args))
     cols = list(range(len(FULL_SETTINGS)))
-    point_seeds = seed_states(cfg.seed, np.arange(len(grid)))[:, :1]  # SeedSequence([seed, idx]), word 0
-    n = _simulate(rhos, cols, cfg, point_seeds)
+    n = _simulate(rhos, cols, cfg, np.arange(len(grid)))
     t, jac = _pauli_matrix(n, cols)
     g, _, delta_g = _g_batch(n, t, jac, cfg.noise == "exact")
     c_tomo = concurrence(project_to_physical(linear_inversion(t)))
@@ -236,14 +208,13 @@ def _cmd_sweep_k(args) -> int:
     cfg = SimConfig(args.n, args.noise, args.seed)
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
     fixed = pure_to_density(np.stack([_NAMED_STATES["HH"], _NAMED_STATES["VH"]]))
-    rhos = _prepared_density(args.family, grid, None)[:, None]
+    rhos = pure_to_density(_PREPARE[args.family](np.radians(grid)))[:, None]
     rhos = np.concatenate([rhos, np.broadcast_to(fixed, (len(grid), 2, 4, 4))], axis=1)  # (B, 3, 4, 4)
     if cfg.noise == "exact":
         t = pauli_expectation_matrix(rhos)
     else:
         cols = [_ORDINAL[s] for s in KMODE_SETTINGS]
-        seeds = seed_states(cfg.seed, np.arange(len(grid))[:, None], np.arange(3))[..., :1]
-        n = _simulate(rhos.reshape(-1, 4, 4), cols, cfg, seeds.reshape(-1, 1))
+        n = _simulate(rhos.reshape(-1, 4, 4), cols, cfg, np.arange(len(grid))[:, None], np.arange(3))
         t = _pauli_matrix(n, cols)[0].reshape(rhos.shape)
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
     bounds = [k_separable_bound(s) for s in coeffs]
@@ -254,6 +225,8 @@ def _cmd_sweep_k(args) -> int:
 
 
 def _cmd_ilut_check(args) -> int:
+    if not 0.0 <= args.k < math.inf:  # written so that NaN fails too
+        raise ValueError(f"--k must be finite and >= 0, got {args.k!r}")
     if len(args.counts_files) == 2:
         t1, t2 = (_read_table(p) for p in args.counts_files)
         r1, r2 = g_from_counts(t1), g_from_counts(t2)
@@ -261,7 +234,7 @@ def _cmd_ilut_check(args) -> int:
         g2, d2 = r2.g, r2.delta_g
         inputs = {"files": list(args.counts_files)}
     elif not args.counts_files:
-        rho = _prepared_density(args.family, args.theta, args.damp)
+        rho = _prepared_density(args, args.theta)
         arms = _arm_unitaries(args)
         if arms is None:
             raise ValueError("state mode needs at least one --hwp or --qwp flag to compare against")
@@ -314,10 +287,11 @@ def _cmd_tomo(args) -> int:
     return 0
 
 
-def _add_state_flags(p: argparse.ArgumentParser, with_family: bool = True) -> None:
-    if with_family:
-        p.add_argument("--family", choices=("parallel", "antiparallel"), help="prepared state family")
-        p.add_argument("--theta", type=float, help="pump waveplate angle in degrees")
+def _add_family_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=tuple(_PREPARE), help="prepared state family")
+
+
+def _add_optics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--damp", metavar="BASIS:P", help="phase-damping channel on both arms, e.g. z:0.5")
     p.add_argument("--hwp", action="append", metavar="ARM:DEG", help="half-wave plate on arm a or b (repeatable)")
     p.add_argument("--qwp", action="append", metavar="ARM:DEG", help="quarter-wave plate on arm a or b (repeatable)")
@@ -350,30 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="write a simulated counts CSV for a prepared state")
-    _add_state_flags(p)
+    _add_family_flag(p)
+    p.add_argument("--theta", type=float, help="pump waveplate angle in degrees")
+    _add_optics_flags(p)
     _add_sim_flags(p)
     p.add_argument("--settings", choices=("full", "kmode"), default="full", help="which setting list to measure")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep-g", help="CSV sweep of g and concurrence over preparation angle")
-    p.add_argument("--family", choices=("parallel", "antiparallel"), default="parallel")
+    _add_family_flag(p)
     _add_sweep_flags(p)
-    _add_state_flags(p, with_family=False)
+    _add_optics_flags(p)
     _add_sim_flags(p)
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_sweep_g)
+    p.set_defaults(func=_cmd_sweep_g, family="parallel")
 
     p = sub.add_parser("sweep-k", help="CSV sweep of the nonlocal variance sum over angle")
-    p.add_argument("--family", choices=("parallel", "antiparallel"), default="parallel")
+    _add_family_flag(p)
     _add_sweep_flags(p)
     _add_sim_flags(p)
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=_cmd_sweep_k)
+    p.set_defaults(func=_cmd_sweep_k, family="parallel")
 
     p = sub.add_parser("ilut-check", help="compare g before/after a local unitary transformation")
     p.add_argument("counts_files", nargs="*", help="two counts files, or none with a state spec")
-    _add_state_flags(p)
+    _add_family_flag(p)
+    p.add_argument("--theta", type=float, help="pump waveplate angle in degrees")
+    _add_optics_flags(p)
     p.add_argument("--k", type=float, default=3.0, help="verdict threshold in combined sigmas")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_ilut_check)
@@ -387,9 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args does not change a parser, so every main call can share it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except MissingSetting as exc:

@@ -125,15 +125,19 @@ def simulate_counts(rho: np.ndarray, settings: Iterable[Setting], cfg: SimConfig
     """
     settings = tuple(settings)
     ords = [_ORDINAL[s] for s in settings]
-    n = _simulate(np.asarray(rho)[None], ords, cfg, cfg.seed)[0, ords]
+    n = _simulate(np.asarray(rho)[None], ords, cfg)[0, ords]
     seed = cfg.seed if cfg.noise == "poisson" else None
     return CountsTable(counts=dict(zip(settings, n.tolist())), source=cfg.noise, seed=seed)
 
 
-def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, seed) -> np.ndarray:
+def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, *point) -> np.ndarray:
     """Canonical counts (B, 36) of the states rhos (B, 4, 4) at the ordinals
     ords, zero elsewhere. Poisson count (b, o) draws from the substream of
-    key [seed_b, o]; seed is an int or a (B, 1) array of per-state seeds."""
+    key [seed_b, o]. seed_b is cfg.seed when no point is given; otherwise it
+    is word 0 of SeedSequence([cfg.seed, *point_b]), where the point parts
+    broadcast to a shape of B items, taken in C order."""
+    # derived under exact noise too, so that a sweep rejects a negative seed in both noise models
+    seed = seed_states(cfg.seed, *point)[..., :1].reshape(-1, 1) if point else cfg.seed
     if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
     p = np.trace(rhos[:, None] @ _PROJECTORS[ords], axis1=-2, axis2=-1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -97,6 +98,19 @@ class TestAnalyze:
         with open(BLOCK1, encoding="utf-8") as fh:
             table = parse_counts_csv(fh.read())
         assert report["tomo_concurrence"] == tomo_concurrence(table)
+
+    def test_non_finite_report_exits_2_and_writes_nothing(self, monkeypatch, capsys, tmp_path):
+        original = cli.g_from_counts
+
+        def nan_delta_g(table):
+            return dataclasses.replace(original(table), delta_g=math.nan)
+
+        monkeypatch.setattr(cli, "g_from_counts", nan_delta_g)
+        assert cli.main(["analyze", BLOCK1]) == 2
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", BLOCK1, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_nan_theta_exits_2(self):
         proc = run_cli("analyze", BLOCK1, "--theta", "nan")
@@ -243,6 +257,10 @@ class TestSweepG:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    def test_negative_seed_exits_2_under_exact_noise(self, capsys):
+        assert cli.main(["sweep-g", "--seed", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_grid_exits_2(self):
         assert run_cli("sweep-g", "--steps", "1").returncode == 2
         assert run_cli("sweep-g", "--start", "30", "--stop", "10").returncode == 2
@@ -309,6 +327,14 @@ class TestIlutCheck:
     def test_simulation_flags_rejected(self):
         assert run_cli("ilut-check", BLOCK1, BLOCK2, "--noise", "poisson").returncode == 2
 
+    @pytest.mark.parametrize("k", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("mode", [(BLOCK1, BLOCK2), ("--family", "parallel", "--theta", "10", "--hwp", "a:20")])
+    def test_k_must_be_finite_and_nonnegative(self, capsys, mode, k):
+        assert cli.main(["ilut-check", *mode, "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k" in captured.err
+
 
 class TestTomo:
     def test_exact_singlet_reference(self, tmp_path):
@@ -346,6 +372,23 @@ class TestCliContract:
         )
         report = run_json("analyze", str(sim))
         assert report["inputs"]["seed"] == 23
+
+    def test_main_does_not_rebuild_the_parser(self, monkeypatch, capsys):
+        def fail():
+            raise AssertionError("build_parser called by main")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        assert cli.main(["analyze", BLOCK1]) == 0
+        assert json.loads(capsys.readouterr().out)["g"] > 2
+
+    def test_repeated_flags_do_not_leak_between_calls(self, tmp_path):
+        spec = ["simulate", "--family", "parallel", "--theta", "20", "--noise", "poisson", "--seed", "5"]
+        first, second, fresh = tmp_path / "first.csv", tmp_path / "second.csv", tmp_path / "fresh.csv"
+        assert cli.main([*spec, "--hwp", "a:10", "--out", str(first)]) == 0
+        assert cli.main([*spec, "--out", str(second)]) == 0
+        assert run_cli(*spec, "--out", str(fresh)).returncode == 0
+        assert second.read_bytes() == fresh.read_bytes()
+        assert first.read_bytes() != fresh.read_bytes()
 
 
 def _point_seed(seed, *indices):
