@@ -21,7 +21,7 @@ from .counts import (
     CountsTable,
     SimConfig,
     _ORDINAL,
-    _g_batch,
+    _delta,
     _pauli_matrix,
     _simulate,
     g_from_counts,
@@ -33,6 +33,7 @@ from .counts import (
 from .errors import MissingSetting, ParseError
 from .measures import (
     SchmidtCoeffs,
+    _g_terms,
     _k_terms,
     concurrence,
     concurrence_from_g,
@@ -77,8 +78,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -194,8 +198,9 @@ def _cmd_sweep_g(args) -> int:
     rhos = _prepared_density(args, grid, _arm_unitaries(args))
     cols = list(range(len(FULL_SETTINGS)))
     n = _simulate(rhos, cols, cfg, np.arange(len(grid)))
-    t, jac = _pauli_matrix(n, cols)
-    g, _, delta_g = _g_batch(n, t, jac, cfg.noise == "exact")
+    t, groups, inv = _pauli_matrix(n, cols)
+    g, _, grad = _g_terms(t)
+    delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
     c_tomo = concurrence(project_to_physical(linear_inversion(t)))
     rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), concurrence(rhos), c_tomo])
     lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo", *map(_format_row, rows.tolist())]
@@ -227,9 +232,9 @@ def _cmd_sweep_k(args) -> int:
 def _cmd_ilut_check(args) -> int:
     if not 0.0 <= args.k < math.inf:  # written so that NaN fails too
         raise ValueError(f"--k must be finite and >= 0, got {args.k!r}")
-    if len(args.counts_files) == 2:
-        t1, t2 = (_read_table(p) for p in args.counts_files)
-        r1, r2 = g_from_counts(t1), g_from_counts(t2)
+    state_flags = [f"--{name}" for name in ("family", "theta", "hwp", "qwp", "damp") if getattr(args, name) is not None]
+    if len(args.counts_files) == 2 and not state_flags:
+        r1, r2 = (g_from_counts(_read_table(p)) for p in args.counts_files)
         g1, d1 = r1.g, r1.delta_g
         g2, d2 = r2.g, r2.delta_g
         inputs = {"files": list(args.counts_files)}
@@ -242,7 +247,7 @@ def _cmd_ilut_check(args) -> int:
         g2, d2 = g_measure(apply_local_unitary(rho, *arms)).g, 0.0
         inputs = {"family": args.family, "theta_deg": args.theta, "damp": args.damp}
     else:
-        raise ValueError("ilut-check takes either two counts files or a state spec with no files")
+        raise ValueError(f"ilut-check takes two counts files or a state spec, got {args.counts_files + state_flags}")
     diff = abs(g1 - g2)
     combined = math.sqrt(d1 * d1 + d2 * d2)
     # exact inputs have zero sigma; give the comparison an absolute floor

@@ -1,21 +1,22 @@
 """Coincidence-count tables: simulation, CSV serialization, and estimators.
 
 A setting is one analyzer pair (basis_a, basis_b); a full table holds all 36
-pairs over {H, V, D, A, R, L}. Expectations are estimated per 4-setting
-eigenbasis group, normalizing counts within the group, so no equal-flux
-assumption is needed across groups:
+pairs over {H, V, D, A, R, L}. They form nine eigenbasis groups (i, j), each
+with four outcomes (++, +-, -+, --) and its own total T. Expectations are
+moments normalized within a group, so no equal-flux assumption is needed
+across groups:
 
-* <s_i (x) s_j> comes from the group {(p_i, p_j), (p_i, m_j), (m_i, p_j),
-  (m_i, m_j)} with signs equal to eigenvalue products,
-* <s_i (x) I> and <I (x) s_j> come from the diagonal groups (i, i) and
-  (j, j) with signs on one side only.
+* <s_i (x) s_j> is the s_a s_b moment of group (i, j), the outcomes weighted
+  by their eigenvalue products,
+* <s_i (x) I> and <I (x) s_j> are the s_a and s_b moments of the diagonal
+  groups (i, i) and (j, j).
 
-One estimator, _estimate, turns the counts into the 4x4 Pauli expectation
-matrix t[i, j] = <s_i (x) s_j> and its Jacobian in the 36 counts; within a
-group of total T, d t / d n_k = (sign_k - t) / T. g and k are functions of
-t (see measures), and every error bar follows one delta-method rule:
-first-order Poisson propagation with var(count) = count, all settings
-independent, sigma_f^2 = sum_k (grad_t f . dt/dn_k)^2 n_k.
+One estimator, _estimate, gathers these into the 4x4 Pauli expectation
+matrix t[i, j] = <s_i (x) s_j>. g and k are functions of t (see measures),
+and every error bar follows one delta-method rule, _delta: with the counts
+independent Poisson variables, var(n) = n, an estimate f(t) has
+sigma_f^2 = sum over groups of var_p(w) / T, p the group's outcome
+frequencies and w each outcome's weight in grad_t f . t.
 """
 
 from __future__ import annotations
@@ -55,13 +56,19 @@ _ORDINAL = {s: n for n, s in enumerate(FULL_SETTINGS)}
 #: The joint projector |a b><a b| of every setting, in canonical order.
 _PROJECTORS = np.stack([joint_projector(s.a, s.b) for s in FULL_SETTINGS])
 
-_KMODE_SET = {
-    Setting(a, b)
-    for pair in PAULI_EIGENBASIS.values()
-    for a, b in product(pair, repeat=2)
-}
+
+def group_settings(i: int, j: int) -> tuple[Setting, ...]:
+    """The four settings measuring the sigma_i (x) sigma_j eigenbasis, in
+    outcome order (++, +-, -+, --)."""
+    pa, ma = PAULI_EIGENBASIS[i]
+    pb, mb = PAULI_EIGENBASIS[j]
+    return (Setting(pa, pb), Setting(pa, mb), Setting(ma, pb), Setting(ma, mb))
+
+
+#: _GROUP_SLOTS[i - 1, j - 1] holds the canonical ordinals of group_settings(i, j).
+_GROUP_SLOTS = np.array([[[_ORDINAL[s] for s in group_settings(i, j)] for j in (1, 2, 3)] for i in (1, 2, 3)])
 #: The 12-setting subset (three complete eigenbasis groups) sufficient for k.
-KMODE_SETTINGS: tuple[Setting, ...] = tuple(s for s in FULL_SETTINGS if s in _KMODE_SET)
+KMODE_SETTINGS: tuple[Setting, ...] = tuple(FULL_SETTINGS[o] for o in np.sort(np.diagonal(_GROUP_SLOTS), axis=None))
 
 
 @dataclass
@@ -105,6 +112,8 @@ class SimConfig:
             raise ValueError(f"n_per_setting must be positive and finite, got {self.n_per_setting!r}")
         if self.noise not in ("exact", "poisson"):
             raise ValueError(f"noise must be 'exact' or 'poisson', got {self.noise!r}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,6 @@ def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, *point) -> np.n
     key [seed_b, o]. seed_b is cfg.seed when no point is given; otherwise it
     is word 0 of SeedSequence([cfg.seed, *point_b]), where the point parts
     broadcast to a shape of B items, taken in C order."""
-    # derived under exact noise too, so that a sweep rejects a negative seed in both noise models
-    seed = seed_states(cfg.seed, *point)[..., :1].reshape(-1, 1) if point else cfg.seed
     if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
     p = np.trace(rhos[:, None] @ _PROJECTORS[ords], axis1=-2, axis2=-1)
@@ -146,6 +153,7 @@ def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, *point) -> np.n
         raise ValueError(f"expectation has imaginary residue {residue:.3e}; state is not Hermitian")
     counts = cfg.n_per_setting * np.where(p.real > 0.0, p.real, 0.0)
     if cfg.noise == "poisson":
+        seed = seed_states(cfg.seed, *point)[..., :1].reshape(-1, 1) if point else cfg.seed
         counts = _poisson(counts, seed_states(seed, np.array(ords)))
     n = np.zeros((len(rhos), len(FULL_SETTINGS)))
     n[:, ords] = counts
@@ -319,79 +327,71 @@ def data_file(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Estimators: counts -> Pauli expectation matrix t -> g, k
+# Estimators: counts -> group moments -> Pauli expectation matrix t -> g, k
 # ---------------------------------------------------------------------------
 
-_SIDE_A_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-_SIDE_B_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def group_settings(i: int, j: int) -> tuple[Setting, ...]:
-    """The four settings measuring the sigma_i (x) sigma_j eigenbasis."""
-    pa, ma = PAULI_EIGENBASIS[i]
-    pb, mb = PAULI_EIGENBASIS[j]
-    return (Setting(pa, pb), Setting(pa, mb), Setting(ma, pb), Setting(ma, mb))
-
-
-def _sign_matrix() -> np.ndarray:
-    """_SIGN[4i + j, k]: the sign of canonical count k in the estimate of
-    t[i, j], zero when count k is outside the group that t[i, j] reads."""
-    sign = np.zeros((16, len(FULL_SETTINGS)))
-    for i, j in product((1, 2, 3), repeat=2):
-        cols = [_ORDINAL[s] for s in group_settings(i, j)]
-        sign[4 * i + j, cols] = _SIDE_A_SIGNS * _SIDE_B_SIGNS
-        if i == j:
-            sign[4 * i, cols] = _SIDE_A_SIGNS
-            sign[j, cols] = _SIDE_B_SIGNS
-    return sign
-
-
-_SIGN = _sign_matrix()
-_MEMBER = (_SIGN != 0).astype(float)
+#: Outcome weights (++, +-, -+, --) of the group moments 1, s_a, s_b and s_a s_b.
+_MOMENTS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+#: t[i, j] as a flat index into the group moments (3, 3, 4): the s_a s_b moment
+#: of group (i, j); for a marginal, the s_a or s_b moment of the diagonal group.
+#: t[0, 0] = 1 is set apart.
+_T_SOURCE = np.array(
+    [12 * ((i or j or 1) - 1) + 4 * ((j or i or 1) - 1) + (i > 0) + 2 * (j > 0) for i, j in product(range(4), repeat=2)]
+)
 
 
 def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The group-normalized estimator: (n, t, dt/dn) from the given settings,
-    n the 36-count vector in canonical order, zero outside `settings`."""
+    """The group-normalized estimator on one table: _pauli_matrix of its
+    counts at the given settings."""
     table.require(settings)
     cols = [_ORDINAL[s] for s in settings]
-    n = np.zeros((1, len(FULL_SETTINGS)))
-    n[0, cols] = [table.counts[s] for s in settings]
-    t, jac = _pauli_matrix(n, cols)
-    return n[0], t[0], jac[0]
+    n = np.zeros(len(FULL_SETTINGS))
+    n[cols] = [table.counts[s] for s in settings]
+    return _pauli_matrix(n, cols)
 
 
-def _pauli_matrix(n: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """t (B, 4, 4) and dt/dn (B, 16, 36) from canonical counts n (B, 36)
-    measured at the ordinals cols.
+def _pauli_matrix(n: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t (..., 4, 4), the group counts n[..., _GROUP_SLOTS] (..., 3, 3, 4)
+    and the inverse group totals 1/T (..., 3, 3) from canonical counts
+    n (..., 36) measured at the ordinals cols.
 
-    t[i, j] = sum_k s_k n_k / T over the group of total T that the entry
-    reads, with t[0, 0] = 1; the Jacobian row of entry e is
-    dt_e/dn_k = (s_k - t_e) / T on the group and zero elsewhere. Entries
-    whose group lies outside cols are 0 with zero derivative.
+    Each group's moments are its signed sums scaled by 1/T, and t gathers
+    them, with t[0, 0] = 1. Summing before scaling keeps t exact on integer
+    counts. Groups outside cols get 1/T = 0, so the entries that read them
+    are 0.
     """
-    total = (_MEMBER @ n[:, :, None])[:, :, 0]
-    read = _MEMBER[:, cols].any(axis=1)
-    empty = read & (total <= 0).any(axis=0)
+    read = (np.bincount(cols, minlength=len(FULL_SETTINGS)) > 0)[_GROUP_SLOTS].any(axis=-1)
+    groups = n[..., _GROUP_SLOTS]
+    sums = groups @ _MOMENTS.T
+    empty = read & (sums[..., 0] <= 0)
     if empty.any():
-        i, j = divmod(int(np.argmax(empty)), 4)
-        raise ValueError(f"settings group ({i or j}, {j or i}) has zero total counts")
-    inv = np.divide(1.0, total, out=np.zeros_like(total), where=read)
-    t = (_SIGN @ n[:, :, None])[:, :, 0] * inv
-    jac = _MEMBER * (_SIGN - t[:, :, None]) * inv[:, :, None]
-    t[:, 0] = 1.0
-    return t.reshape(-1, 4, 4), jac
+        i, j = np.argwhere(empty)[0, -2:] + 1
+        raise ValueError(f"settings group ({i}, {j}) has zero total counts")
+    inv = np.divide(1.0, sums[..., 0], out=np.zeros(sums.shape[:-1]), where=read)
+    t = (sums * inv[..., None]).reshape(n.shape)[..., _T_SOURCE]
+    t[..., 0] = 1.0
+    return t.reshape(n.shape[:-1] + (4, 4)), groups, inv
 
 
-def _delta(n: np.ndarray, grad_n: np.ndarray, exact: bool) -> np.ndarray:
-    """First-order Poisson sigma: var(n_k) = n_k, settings independent,
-    grad_n the estimate's gradient in the counts (..., 36). Zero when exact."""
-    return np.zeros(n.shape[:-1]) if exact else np.sqrt(np.sum(grad_n * grad_n * n, axis=-1))
+def _delta(groups: np.ndarray, inv: np.ndarray, grad_t: np.ndarray, exact: bool) -> np.ndarray:
+    """Poisson sigma of an estimate f(t), sqrt(sum over groups of var_p(w) / T)
+    as in the module docstring, from _pauli_matrix's group counts and inverse
+    totals and grad_t = df/dt (..., 4, 4). Zero when exact."""
+    if exact:
+        return np.zeros(inv.shape[:-2])
+    weights = np.zeros(grad_t.shape[:-2] + (36,))  # df/d(moment), laid out as the moments
+    weights[..., _T_SOURCE[1:]] = grad_t.reshape(grad_t.shape[:-2] + (16,))[..., 1:]
+    w = weights.reshape(groups.shape) @ _MOMENTS  # each outcome's weight
+    p = groups * inv[..., None]
+    dev = w - (p * w).sum(axis=-1, keepdims=True)
+    return np.sqrt(((p * dev * dev).sum(axis=-1) * inv).sum(axis=(-2, -1)))
 
 
 def _entry(table: CountsTable, settings: tuple[Setting, ...], i: int, j: int) -> EstimatedValue:
-    n, t, jac = _estimate(table, settings)
-    return EstimatedValue(value=float(t[i, j]), sigma=float(_delta(n, jac[4 * i + j], table.is_exact)))
+    t, groups, inv = _estimate(table, settings)
+    grad = np.zeros((4, 4))  # dt[i, j]/dt
+    grad[i, j] = 1.0
+    return EstimatedValue(value=float(t[i, j]), sigma=float(_delta(groups, inv, grad, table.is_exact)))
 
 
 def joint_expectation(table: CountsTable, i: int, j: int) -> EstimatedValue:
@@ -407,13 +407,6 @@ def marginal_expectation(table: CountsTable, side: str, i: int) -> EstimatedValu
     return _entry(table, group_settings(i, i), *entry)
 
 
-def _g_batch(n: np.ndarray, t: np.ndarray, jac: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g (B,), covariance (B, 3, 3) and delta_g (B,) from canonical counts
-    n (B, 36) and their estimate t, dt/dn; delta_g is 0 for exact counts."""
-    g, cov, grad = _g_terms(t)
-    return g, cov, _delta(n, (grad.reshape(-1, 1, 16) @ jac)[:, 0], exact)
-
-
 def g_from_counts(table: CountsTable) -> GResult:
     """Covariance-sum measure from a full 36-setting table, with error bar.
 
@@ -421,9 +414,9 @@ def g_from_counts(table: CountsTable) -> GResult:
     under the group-normalization convention above; delta_g treats all 36
     counts as independent Poisson variables (zero for exact tables).
     """
-    n, t, jac = _estimate(table, FULL_SETTINGS)
-    g, cov, delta = _g_batch(n[None], t[None], jac[None], table.is_exact)
-    return GResult(g=float(g[0]), covariance=cov[0], delta_g=float(delta[0]), t=t)
+    t, groups, inv = _estimate(table, FULL_SETTINGS)
+    g, cov, grad = _g_terms(t)
+    return GResult(g=float(g), covariance=cov, delta_g=float(_delta(groups, inv, grad, table.is_exact)), t=t)
 
 
 def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
@@ -434,11 +427,11 @@ def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
     unbiased sum can dip marginally negative under Poisson noise when the
     true value is 0.
     """
-    n, t, jac = _estimate(table, KMODE_SETTINGS)
+    t, groups, inv = _estimate(table, KMODE_SETTINGS)
     k, m, grad = _k_terms(t, s.a, s.b)
     return KResult(
         k=float(k),
         expectations=tuple(m.tolist()),
         bound=k_separable_bound(s),
-        delta_k=float(_delta(n, grad @ jac, table.is_exact)),
+        delta_k=float(_delta(groups, inv, grad, table.is_exact)),
     )

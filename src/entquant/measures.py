@@ -237,7 +237,7 @@ class KResult:
 
 
 def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k clamped at 0, the projector expectations m and dk/dt (16,) at each
+    """k clamped at 0, the projector expectations m and dk/dt (4x4) at each
     Pauli matrix of the stack t (..., 4, 4), for Schmidt coefficients a, b
     (scalars, or arrays that broadcast against the stack).
 
@@ -248,7 +248,7 @@ def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     proj = np.einsum("eij,...mji->...me", _PAULI_TENSOR, _k_projectors(a, b)).real / 4.0
     m = (proj @ t.reshape(t.shape[:-2] + (16, 1)))[..., 0]
     k = np.sum(m - m * m, axis=-1)
-    grad = ((1.0 - 2.0 * m)[..., None, :] @ proj)[..., 0, :]
+    grad = ((1.0 - 2.0 * m)[..., None, :] @ proj).reshape(m.shape[:-1] + (4, 4))
     return np.where(k > 0.0, k, 0.0), m, grad  # max(0, k): noise or rounding can leave k < 0
 
 

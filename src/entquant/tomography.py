@@ -22,7 +22,7 @@ def pauli_vector_from_counts(table: CountsTable) -> np.ndarray:
     t[0, 0] = 1 exactly; marginals t[i, 0] and t[0, j] use the diagonal
     (i, i) and (j, j) groups, the same estimate that g and k read.
     """
-    return _estimate(table, FULL_SETTINGS)[1]
+    return _estimate(table, FULL_SETTINGS)[0]
 
 
 def linear_inversion(t: np.ndarray) -> np.ndarray:

@@ -327,6 +327,15 @@ class TestIlutCheck:
     def test_simulation_flags_rejected(self):
         assert run_cli("ilut-check", BLOCK1, BLOCK2, "--noise", "poisson").returncode == 2
 
+    @pytest.mark.parametrize(
+        "flag", [("--family", "parallel"), ("--theta", "10"), ("--hwp", "a:30"), ("--qwp", "b:45"), ("--damp", "z:0.5")]
+    )
+    def test_state_flags_rejected_with_two_files(self, capsys, flag):
+        assert cli.main(["ilut-check", BLOCK1, BLOCK2, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[0] in captured.err
+
     @pytest.mark.parametrize("k", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("mode", [(BLOCK1, BLOCK2), ("--family", "parallel", "--theta", "10", "--hwp", "a:20")])
     def test_k_must_be_finite_and_nonnegative(self, capsys, mode, k):
@@ -372,6 +381,30 @@ class TestCliContract:
         )
         report = run_json("analyze", str(sim))
         assert report["inputs"]["seed"] == 23
+
+    @pytest.mark.parametrize("verb", [("analyze", BLOCK1), ("sweep-g", "--steps", "3")])
+    @pytest.mark.parametrize("target", ["no_such_dir/out.txt", ""], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_2_without_traceback(self, tmp_path, verb, target):
+        out = str(tmp_path / target)
+        proc = run_cli(*verb, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"cannot write {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("simulate", "--family", "parallel", "--theta", "10", "--noise", "exact"),
+            ("sweep-k", "--noise", "exact"),
+            ("sweep-k", "--noise", "poisson"),
+        ],
+    )
+    def test_negative_seed_exits_2_in_every_noise_model(self, capsys, spec):
+        assert cli.main([*spec, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be a nonnegative integer" in captured.err
 
     def test_main_does_not_rebuild_the_parser(self, monkeypatch, capsys):
         def fail():

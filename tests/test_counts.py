@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from entquant import (
     simulate_counts,
     write_counts_csv,
 )
-from entquant.counts import group_settings, seed_states
+from entquant.counts import _GROUP_SLOTS, group_settings, seed_states
 from entquant.errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
+from entquant.measures import _g_terms, _k_terms
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -100,6 +102,14 @@ class TestSimulateCounts:
         for n in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SimConfig(n_per_setting=n)
+
+    @pytest.mark.parametrize("noise", ["exact", "poisson"])
+    def test_negative_or_non_integer_seed_rejected(self, noise):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SimConfig(100, noise, seed=-1)
+        with pytest.raises(TypeError):
+            SimConfig(100, noise, seed=1.5)
+        assert SimConfig(100, noise, seed=2**100).seed == 2**100
 
 
 def reference_counts(rho, settings, cfg):
@@ -452,3 +462,76 @@ class TestCountsTableValidation:
     def test_non_finite_count_rejected(self, n):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             CountsTable(counts={Setting(H, H): n})
+
+
+def dense_jacobian_reference(table, settings):
+    """n (36,), t (4, 4) and dt/dn (16, 36) of the group-normalized estimator,
+    built group by group from group_settings: over the group of total T
+    that entry e reads, t_e = sum_k s_k n_k / T and dt_e/dn_k = (s_k - t_e) / T.
+    The sum is scaled by 1 / T, as the estimator does, so t compares exactly."""
+    side_a, side_b = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    n = np.array([table.counts[s] if s in settings else 0.0 for s in FULL_SETTINGS])
+    t, jac = np.zeros(16), np.zeros((16, 36))
+    t[0] = 1.0
+    for i, j in product((1, 2, 3), repeat=2):
+        group = group_settings(i, j)
+        if not set(group) <= set(settings):
+            continue
+        cols = [FULL_SETTINGS.index(s) for s in group]
+        total = n[cols].sum()
+        entries = [(4 * i + j, side_a * side_b)] + ([(4 * i, side_a), (j, side_b)] if i == j else [])
+        for e, signs in entries:
+            t[e] = (signs * n[cols]).sum() * (1.0 / total)
+            jac[e, cols] = (signs - t[e]) / total
+    return n, t.reshape(4, 4), jac
+
+
+def dense_sigma(n, jac, grad_t):
+    """sqrt(sum_k (grad_t . dt/dn_k)^2 n_k)."""
+    return float(np.sqrt(np.sum((grad_t.reshape(16) @ jac) ** 2 * n)))
+
+
+class TestGroupTensorMatchesDenseJacobian:
+    """The per-group estimator against the dense 16 x 36 Jacobian it replaced."""
+
+    def test_group_slots_are_group_settings_ordinals(self):
+        for i, j in product((1, 2, 3), repeat=2):
+            assert _GROUP_SLOTS[i - 1, j - 1].tolist() == [FULL_SETTINGS.index(s) for s in group_settings(i, j)]
+
+    @staticmethod
+    def check_g(table):
+        n, t, jac = dense_jacobian_reference(table, FULL_SETTINGS)
+        g, _, grad = _g_terms(t)
+        res = g_from_counts(table)
+        assert np.array_equal(res.t, t)
+        assert res.g == g
+        assert res.delta_g == pytest.approx(dense_sigma(n, jac, grad), rel=1e-12)
+
+    @staticmethod
+    def check_k(table, s):
+        n, t, jac = dense_jacobian_reference(table, KMODE_SETTINGS)
+        k, m, grad = _k_terms(t, s.a, s.b)
+        res = k_from_counts(table, s)
+        assert res.k == k
+        assert res.expectations == tuple(m.tolist())
+        assert res.delta_k == pytest.approx(dense_sigma(n, jac, grad), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["tableII_block1.csv", "tableII_block2.csv"])
+    def test_fixtures(self, name):
+        with open(data_file(name), encoding="utf-8") as fh:
+            table = parse_counts_csv(fh.read())
+        self.check_g(table)
+        self.check_k(table, SchmidtCoeffs(0.8, 0.6))
+        self.check_k(CountsTable({s: table.counts[s] for s in KMODE_SETTINGS}), SchmidtCoeffs(0.6, 0.8))
+
+    @pytest.mark.parametrize("flux", [50.0, 5000.0])
+    def test_random_poisson_tables(self, flux):
+        rng = np.random.default_rng(int(flux))
+        for seed in range(50):
+            rho = random_density(rng) if seed % 2 else pure_to_density(random_pure(rng))
+            table = simulate_counts(rho, FULL_SETTINGS, SimConfig(flux, "poisson", seed))
+            u = rng.uniform(0, 1)
+            s = SchmidtCoeffs(np.sqrt(u), np.sqrt(1 - u))
+            self.check_g(table)
+            self.check_k(table, s)
+            self.check_k(simulate_counts(rho, KMODE_SETTINGS, SimConfig(flux, "poisson", seed)), s)
