@@ -20,7 +20,6 @@ from .counts import (
     KMODE_SETTINGS,
     CountsTable,
     SimConfig,
-    _ORDINAL,
     _delta,
     _pauli_matrix,
     _simulate,
@@ -39,7 +38,6 @@ from .measures import (
     concurrence_from_g,
     g_measure,
     k_separable_bound,
-    pauli_expectation_matrix,
 )
 from .optics import (
     ChannelSpec,
@@ -196,9 +194,7 @@ def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
     cfg = SimConfig(args.n, args.noise, args.seed)
     rhos = _prepared_density(args, grid, _arm_unitaries(args))
-    cols = list(range(len(FULL_SETTINGS)))
-    n = _simulate(rhos, cols, cfg, np.arange(len(grid)))
-    t, groups, inv = _pauli_matrix(n, cols)
+    t, groups, inv = _pauli_matrix(_simulate(rhos, FULL_SETTINGS, cfg), FULL_SETTINGS)
     g, _, grad = _g_terms(t)
     delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
     c_tomo = concurrence(project_to_physical(linear_inversion(t)))
@@ -212,15 +208,9 @@ def _cmd_sweep_k(args) -> int:
     grid = _sweep_grid(args)
     cfg = SimConfig(args.n, args.noise, args.seed)
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
-    fixed = pure_to_density(np.stack([_NAMED_STATES["HH"], _NAMED_STATES["VH"]]))
-    rhos = pure_to_density(_PREPARE[args.family](np.radians(grid)))[:, None]
-    rhos = np.concatenate([rhos, np.broadcast_to(fixed, (len(grid), 2, 4, 4))], axis=1)  # (B, 3, 4, 4)
-    if cfg.noise == "exact":
-        t = pauli_expectation_matrix(rhos)
-    else:
-        cols = [_ORDINAL[s] for s in KMODE_SETTINGS]
-        n = _simulate(rhos.reshape(-1, 4, 4), cols, cfg, np.arange(len(grid))[:, None], np.arange(3))
-        t = _pauli_matrix(n, cols)[0].reshape(rhos.shape)
+    fixed = np.broadcast_to([_NAMED_STATES["HH"], _NAMED_STATES["VH"]], (len(grid), 2, 4))
+    kets = np.concatenate([_PREPARE[args.family](np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
+    t = _pauli_matrix(_simulate(pure_to_density(kets), KMODE_SETTINGS, cfg), KMODE_SETTINGS)[0]
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
     bounds = [k_separable_bound(s) for s in coeffs]
     rows = np.column_stack([grid, ks, bounds])

@@ -55,6 +55,8 @@ FULL_SETTINGS: tuple[Setting, ...] = tuple(
 _ORDINAL = {s: n for n, s in enumerate(FULL_SETTINGS)}
 #: The joint projector |a b><a b| of every setting, in canonical order.
 _PROJECTORS = np.stack([joint_projector(s.a, s.b) for s in FULL_SETTINGS])
+#: The largest mean numpy's Generator.poisson accepts, computed as numpy does.
+_POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
 
 def group_settings(i: int, j: int) -> tuple[Setting, ...]:
@@ -114,6 +116,8 @@ class SimConfig:
             raise ValueError(f"noise must be 'exact' or 'poisson', got {self.noise!r}")
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.noise == "poisson" and self.n_per_setting > _POISSON_MAX:
+            raise ValueError(f"n_per_setting must be at most {_POISSON_MAX!r} under Poisson noise, got {self.n_per_setting!r}")
 
 
 @dataclass(frozen=True)
@@ -130,33 +134,40 @@ def simulate_counts(rho: np.ndarray, settings: Iterable[Setting], cfg: SimConfig
     Poisson draws use one independent substream per setting, keyed by the
     setting's canonical ordinal, so results are seed-reproducible no matter
     how the settings are ordered or distributed across workers. A rho that
-    is not finite, or not Hermitian within 1e-10, raises ValueError.
+    is not one 4x4 matrix, not finite, or not Hermitian within 1e-10 raises
+    ValueError.
     """
+    rho = np.asarray(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"rho must be one 4x4 matrix, got shape {rho.shape}")
     settings = tuple(settings)
-    ords = [_ORDINAL[s] for s in settings]
-    n = _simulate(np.asarray(rho)[None], ords, cfg)[0, ords]
+    n = dict(zip(FULL_SETTINGS, _simulate(rho, settings, cfg).tolist()))
     seed = cfg.seed if cfg.noise == "poisson" else None
-    return CountsTable(counts=dict(zip(settings, n.tolist())), source=cfg.noise, seed=seed)
+    return CountsTable(counts={s: n[s] for s in settings}, source=cfg.noise, seed=seed)
 
 
-def _simulate(rhos: np.ndarray, ords: list[int], cfg: SimConfig, *point) -> np.ndarray:
-    """Canonical counts (B, 36) of the states rhos (B, 4, 4) at the ordinals
-    ords, zero elsewhere. Poisson count (b, o) draws from the substream of
-    key [seed_b, o]. seed_b is cfg.seed when no point is given; otherwise it
-    is word 0 of SeedSequence([cfg.seed, *point_b]), where the point parts
-    broadcast to a shape of B items, taken in C order."""
+def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> np.ndarray:
+    """Canonical counts (..., 36) of one state or a stack of states
+    rhos (..., 4, 4), at the given settings and zero elsewhere.
+
+    Poisson count o of a single state draws from the substream of key
+    [cfg.seed, o]. In a stack, the state at index (i, j, ...) draws from
+    [w0, o] instead, where w0 is word 0 of SeedSequence([cfg.seed, i, j, ...]).
+    """
+    ords = [_ORDINAL[s] for s in settings]
     if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
-    p = np.trace(rhos[:, None] @ _PROJECTORS[ords], axis1=-2, axis2=-1)
+    p = np.trace(rhos[..., None, :, :] @ _PROJECTORS[ords], axis1=-2, axis2=-1)
     residue = np.max(np.abs(p.imag), initial=0.0)
     if residue > 1e-10:
         raise ValueError(f"expectation has imaginary residue {residue:.3e}; state is not Hermitian")
     counts = cfg.n_per_setting * np.where(p.real > 0.0, p.real, 0.0)
     if cfg.noise == "poisson":
-        seed = seed_states(cfg.seed, *point)[..., :1].reshape(-1, 1) if point else cfg.seed
-        counts = _poisson(counts, seed_states(seed, np.array(ords)))
-    n = np.zeros((len(rhos), len(FULL_SETTINGS)))
-    n[:, ords] = counts
+        seed = seed_states(cfg.seed, *np.indices(rhos.shape[:-2]))[..., :1] if rhos.ndim > 2 else cfg.seed
+        # p can pass 1 by rounding, or for a rho of trace above 1; no mean may pass numpy's limit
+        counts = _poisson(np.minimum(counts, _POISSON_MAX), seed_states(seed, np.array(ords)))
+    n = np.zeros(counts.shape[:-1] + (len(FULL_SETTINGS),))
+    n[..., ords] = counts
     return n
 
 
@@ -344,30 +355,33 @@ def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.nda
     """The group-normalized estimator on one table: _pauli_matrix of its
     counts at the given settings."""
     table.require(settings)
-    cols = [_ORDINAL[s] for s in settings]
     n = np.zeros(len(FULL_SETTINGS))
-    n[cols] = [table.counts[s] for s in settings]
-    return _pauli_matrix(n, cols)
+    n[[_ORDINAL[s] for s in settings]] = [table.counts[s] for s in settings]
+    return _pauli_matrix(n, settings)
 
 
-def _pauli_matrix(n: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """t (..., 4, 4), the group counts n[..., _GROUP_SLOTS] (..., 3, 3, 4)
     and the inverse group totals 1/T (..., 3, 3) from canonical counts
-    n (..., 36) measured at the ordinals cols.
+    n (..., 36) of any leading shape, measured at the given settings.
 
     Each group's moments are its signed sums scaled by 1/T, and t gathers
     them, with t[0, 0] = 1. Summing before scaling keeps t exact on integer
-    counts. Groups outside cols get 1/T = 0, so the entries that read them
-    are 0.
+    counts. Groups outside the settings get 1/T = 0, so the entries that
+    read them are 0. A group that is read must have a total whose inverse
+    is positive and finite; otherwise ValueError names the first such group.
     """
-    read = (np.bincount(cols, minlength=len(FULL_SETTINGS)) > 0)[_GROUP_SLOTS].any(axis=-1)
+    read = (np.bincount([_ORDINAL[s] for s in settings], minlength=len(FULL_SETTINGS)) > 0)[_GROUP_SLOTS].any(axis=-1)
     groups = n[..., _GROUP_SLOTS]
-    sums = groups @ _MOMENTS.T
-    empty = read & (sums[..., 0] <= 0)
-    if empty.any():
-        i, j = np.argwhere(empty)[0, -2:] + 1
-        raise ValueError(f"settings group ({i}, {j}) has zero total counts")
-    inv = np.divide(1.0, sums[..., 0], out=np.zeros(sums.shape[:-1]), where=read)
+    with np.errstate(over="ignore", divide="ignore"):  # bad totals are reported below, not warned about
+        sums = groups @ _MOMENTS.T
+        inv = np.divide(1.0, sums[..., 0], out=np.zeros(sums.shape[:-1]), where=read)
+    bad = read & ~((inv > 0.0) & (inv < np.inf))
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        total, (i, j) = sums[index][0], np.add(index[-2:], 1)
+        kind = "zero" if total == 0.0 else "subnormal" if total < 1.0 else "non-finite"
+        raise ValueError(f"settings group ({i}, {j}) has {kind} total counts")
     t = (sums * inv[..., None]).reshape(n.shape)[..., _T_SOURCE]
     t[..., 0] = 1.0
     return t.reshape(n.shape[:-1] + (4, 4)), groups, inv

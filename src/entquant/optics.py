@@ -29,6 +29,10 @@ class BasisLabel(enum.Enum):
     R = "R"
     L = "L"
 
+    # Members are singletons, so an identity hash agrees with equality. It
+    # spares each Setting dict lookup Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
     @property
     def ket(self) -> np.ndarray:
         return _KETS[self].copy()

@@ -22,7 +22,6 @@ from entquant import (
     data_file,
     g_from_counts,
     k_from_counts,
-    k_measure,
     k_separable_bound,
     linear_inversion,
     parse_counts_csv,
@@ -406,6 +405,41 @@ class TestCliContract:
         assert captured.out == ""
         assert "seed must be a nonnegative integer" in captured.err
 
+    @pytest.fixture
+    def overflowing_table(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("basis_a,basis_b,count\n" + "".join(f"{s.a},{s.b},1e308\n" for s in FULL_SETTINGS))
+        return str(path)
+
+    @pytest.mark.parametrize("verb", [("analyze", "--tomo"), ("tomo",), ("ilut-check",)])
+    def test_overflowing_group_total_exits_2_naming_the_group(self, capsys, overflowing_table, verb):
+        files = [overflowing_table] * (2 if verb[0] == "ilut-check" else 1)
+        assert cli.main([verb[0], *files, *verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "settings group (1, 1) has non-finite total counts" in captured.err
+
+    def test_overflowing_group_total_leaks_no_numpy_warning(self, overflowing_table):
+        proc = run_cli("analyze", overflowing_table, "--tomo", "--theta", "10")
+        assert proc.returncode == 2
+        assert "settings group (1, 1) has non-finite total counts" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("simulate", "--family", "parallel", "--theta", "10", "--n", "1e300"),
+            ("sweep-g", "--n", "1e300"),
+            ("sweep-k", "--n", "1e19"),
+        ],
+    )
+    def test_poisson_flux_above_numpys_limit_exits_2_naming_it(self, capsys, spec):
+        assert cli.main([*spec, "--noise", "poisson"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "9.223372006484771e+18" in captured.err
+        assert "lam" not in captured.err
+
     def test_main_does_not_rebuild_the_parser(self, monkeypatch, capsys):
         def fail():
             raise AssertionError("build_parser called by main")
@@ -460,11 +494,8 @@ def reference_sweep_k(family, grid, noise, seed, n):
         s = SchmidtCoeffs(math.cos(2 * rad), math.sin(2 * rad))
         ks = []
         for state_idx, rho in enumerate([pure_to_density(prep(rad)), *fixed]):
-            if noise == "exact":
-                ks.append(k_measure(rho, s).k)
-            else:
-                cfg = SimConfig(n, noise, _point_seed(seed, idx, state_idx))
-                ks.append(k_from_counts(simulate_counts(rho, KMODE_SETTINGS, cfg), s).k)
+            cfg = SimConfig(n, noise, _point_seed(seed, idx, state_idx))
+            ks.append(k_from_counts(simulate_counts(rho, KMODE_SETTINGS, cfg), s).k)
         lines.append(_row((theta, *ks, k_separable_bound(s))))
     return "\n".join(lines) + "\n"
 

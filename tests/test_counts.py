@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import product
 
@@ -28,10 +29,11 @@ from entquant import (
     pure_to_density,
     random_density,
     random_pure,
+    reconstruct,
     simulate_counts,
     write_counts_csv,
 )
-from entquant.counts import _GROUP_SLOTS, group_settings, seed_states
+from entquant.counts import _GROUP_SLOTS, _POISSON_MAX, _simulate, group_settings, seed_states
 from entquant.errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
 from entquant.measures import _g_terms, _k_terms
 
@@ -160,6 +162,77 @@ class TestSimulateMatchesReference:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="state is not finite"):
                     simulate_counts(rho, FULL_SETTINGS, SimConfig(100, "poisson"))
+
+
+def point_seed(seed, *indices):
+    """Word 0 of SeedSequence([seed, *indices]): the seed of a stacked state."""
+    return int(np.random.SeedSequence([seed, *indices]).generate_state(1, dtype=np.uint64)[0])
+
+
+def canonical(table):
+    return [table.counts.get(s, 0.0) for s in FULL_SETTINGS]
+
+
+class TestSimulateStacks:
+    """_simulate on a stack draws each state's counts as simulate_counts does
+    with the state's stack-index seed."""
+
+    @staticmethod
+    def stack(shape):
+        states = [random_density(300 + i) for i in range(int(np.prod(shape)))]
+        return np.stack(states).reshape(shape + (4, 4))
+
+    @pytest.mark.parametrize("settings", [FULL_SETTINGS, KMODE_SETTINGS], ids=["full", "kmode"])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_two_axis_stack_seeds_by_both_indices(self, seed, settings):
+        rhos = self.stack((4, 3))
+        got = _simulate(rhos, settings, SimConfig(500, "poisson", seed))
+        assert got.shape == (4, 3, 36)
+        for i, j in product(range(4), range(3)):
+            table = simulate_counts(rhos[i, j], settings, SimConfig(500, "poisson", point_seed(seed, i, j)))
+            assert got[i, j].tolist() == canonical(table), (i, j)
+
+    @pytest.mark.parametrize("settings", [FULL_SETTINGS, KMODE_SETTINGS], ids=["full", "kmode"])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_one_axis_stack_and_single_state(self, seed, settings):
+        rhos = self.stack((5,))
+        got = _simulate(rhos, settings, SimConfig(500, "poisson", seed))
+        for i in range(5):
+            table = simulate_counts(rhos[i], settings, SimConfig(500, "poisson", point_seed(seed, i)))
+            assert got[i].tolist() == canonical(table), i
+        single = _simulate(rhos[0], settings, SimConfig(500, "poisson", seed))
+        assert single.shape == (36,)
+        assert single.tolist() == canonical(simulate_counts(rhos[0], settings, SimConfig(500, "poisson", seed)))
+
+    def test_exact_stack_matches_state_by_state(self):
+        rhos = self.stack((2, 3))
+        got = _simulate(rhos, KMODE_SETTINGS, SimConfig(500))
+        for i, j in product(range(2), range(3)):
+            assert got[i, j].tolist() == canonical(simulate_counts(rhos[i, j], KMODE_SETTINGS, SimConfig(500)))
+
+    @pytest.mark.parametrize("rho", [np.stack([np.eye(4) / 4] * 3), np.eye(2) / 2], ids=["stack", "2x2"])
+    def test_simulate_counts_takes_one_4x4_state(self, rho):
+        with pytest.raises(ValueError, match="one 4x4 matrix"):
+            simulate_counts(rho, FULL_SETTINGS, SimConfig(100, "poisson"))
+
+
+class TestPoissonFluxLimit:
+    def test_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        assert rng.poisson(_POISSON_MAX) >= 0
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(_POISSON_MAX, np.inf))
+
+    def test_sim_config_rejects_poisson_flux_above_limit(self):
+        assert SimConfig(_POISSON_MAX, "poisson").n_per_setting == _POISSON_MAX
+        for n in (np.nextafter(_POISSON_MAX, np.inf), 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"at most {_POISSON_MAX!r}")):
+                SimConfig(n, "poisson")
+        assert SimConfig(1e300, "exact").n_per_setting == 1e300
+
+    def test_flux_at_limit_draws_even_past_unit_probability(self, rho_hh):
+        table = simulate_counts(1.5 * rho_hh, FULL_SETTINGS, SimConfig(_POISSON_MAX, "poisson"))
+        assert table.counts[Setting(H, H)] > 0
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**100 + 7]
@@ -451,6 +524,28 @@ class TestAnalyticErrorBars:
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             g_from_counts(table)
         assert k_from_counts(table, SchmidtCoeffs(SQ2, SQ2)).k == pytest.approx(0.0, abs=1e-9)
+
+
+class TestGroupTotalOutOfRange:
+    """A group total that is not positive with a finite inverse is named,
+    and no numpy warning escapes."""
+
+    @pytest.mark.parametrize("count,kind", [(1e308, "non-finite"), (1e-320, "subnormal")])
+    def test_g_tomography_and_expectations_name_the_group(self, block1, count, kind):
+        table = CountsTable(dict(block1.counts))
+        for s in group_settings(2, 3):
+            table.counts[s] = count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for estimate in (g_from_counts, reconstruct, lambda t: joint_expectation(t, 2, 3)):
+                with pytest.raises(ValueError, match=rf"settings group \(2, 3\) has {kind} total counts"):
+                    estimate(table)
+            assert k_from_counts(table, SchmidtCoeffs(0.8, 0.6)).delta_k > 0
+
+    def test_first_bad_group_is_named(self):
+        table = CountsTable({s: 1e308 for s in FULL_SETTINGS})
+        with pytest.raises(ValueError, match=r"settings group \(1, 1\) has non-finite total counts"):
+            g_from_counts(table)
 
 
 class TestCountsTableValidation:
