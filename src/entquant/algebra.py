@@ -101,7 +101,7 @@ def validate_density(m: np.ndarray, tol: float = 1e-10, eig_tol: float = 1e-8) -
     adj = m.conj().swapaxes(-1, -2)
     herm_dev = float(np.abs(m - adj).max())
     if herm_dev > tol:
-        raise NotHermitian(f"Hermiticity violated by {herm_dev:.3e} (tol {tol:.1e})")
+        raise NotHermitian(f"matrix is not Hermitian: deviates by {herm_dev:.3e} (tol {tol:.1e})")
     trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if trace_dev > tol:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.1e})")

@@ -1,0 +1,149 @@
+"""numpy's Generator(PCG64).poisson as array code over many streams at once.
+
+counts draws a large stack of Poisson counts here, each on the PCG64 stream
+that numpy would seed from the count's four SeedSequence state words, and
+gets the integers numpy's per-draw Generator gives, bit for bit. The module
+is imported only for such a stack, so single-table runs neither load nor
+compile it.
+
+The algorithms are numpy's own: the PCG64 XSL-RR generator (O'Neill, PCG
+tech report, 2014) and its random_poisson, which draws 0 at a mean of 0,
+uses the multiplication method below 10 and Hoermann's PTRS transformed
+rejection (Insurance: Math. Econ. 12, 39, 1993) from 10 on.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# Every 64-bit word stays an np.uint64: under numpy 1.x a Python-int operand
+# would turn a uint64 scalar into a float64.
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(s) for s in (1, 11, 32, 58, 63))
+_LO32 = np.uint64(0xFFFFFFFF)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_PCG_MULT_LO_LIMBS = (_PCG_MULT_LO & _LO32, _PCG_MULT_LO >> _U32)
+
+
+class _PCG64Streams:
+    """numpy's PCG64 (128-bit LCG, XSL-RR output) run on many streams at once,
+    the 128-bit states held as hi/lo uint64 words.
+
+    Each stream is seeded from its four SeedSequence state words w as PCG64
+    seeds itself (pcg_setseq_128_srandom_r): increment (w2:w3 << 1) | 1, the
+    zero state stepped once, plus w0:w1, stepped again.
+    """
+
+    def __init__(self, words: np.ndarray):
+        w0, w1, w2, w3 = words.T
+        self.inc_hi, self.inc_lo = w2 << _U1 | w3 >> _U63, w3 << _U1 | _U1
+        lo = self.inc_lo + w1  # the zero state stepped is inc
+        self.hi, self.lo = self.inc_hi + w0 + (lo < w1), lo
+        self._step()
+
+    def _step(self) -> None:
+        """state = state * mult + inc mod 2**128; the high word of lo * mult_lo
+        is built from 32-bit limbs, so no partial product overflows."""
+        lo, (m0, m1) = self.lo, _PCG_MULT_LO_LIMBS
+        x0, x1 = lo & _LO32, lo >> _U32
+        mid = x1 * m0 + (x0 * m0 >> _U32)
+        mulhi = x1 * m1 + (mid >> _U32) + ((mid & _LO32) + x0 * m1 >> _U32)
+        self.lo = lo * _PCG_MULT_LO + self.inc_lo
+        self.hi = mulhi + lo * _PCG_MULT_HI + self.hi * _PCG_MULT_LO + self.inc_hi + (self.lo < self.inc_lo)
+
+    def next_double(self) -> np.ndarray:
+        """Each stream's next double, (xsl_rr(state) >> 11) * 2**-53."""
+        self._step()
+        x, rot = self.hi ^ self.lo, self.hi >> _U58
+        return ((x >> rot | x << (-rot & _U63)) >> _U11) * 2.0**-53
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.hi, self.lo, self.inc_hi, self.inc_lo = self.hi[mask], self.lo[mask], self.inc_hi[mask], self.inc_lo[mask]
+
+
+def poisson_array(lam: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """numpy's random_poisson on every mean lam (K,) at once, stream i seeded
+    from the state words words[i] (K, 4). Each round draws for the streams
+    not yet done; a done stream is dropped."""
+    out = np.zeros(lam.size)
+    idx = np.flatnonzero((0.0 < lam) & (lam < 10.0))
+    streams, prod, count = _PCG64Streams(words[idx]), np.ones(idx.size), 0
+    enlam = np.array([math.exp(-m) for m in lam[idx].tolist()])  # libm's exp, as numpy's C
+    while idx.size:
+        prod *= streams.next_double()
+        go = prod > enlam
+        out[idx[~go]] = count
+        idx, prod, enlam, count = idx[go], prod[go], enlam[go], count + 1
+        streams.keep(go)
+    idx = np.flatnonzero(lam >= 10.0)
+    streams, lam = _PCG64Streams(words[idx]), lam[idx]
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    par = np.stack([lam, np.log(lam), -0.059 + 0.02483 * b, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # us = 0 sends k to -inf, then int64 min: rejected as C does
+        while idx.size:
+            lam, _, a, b, _, vr = par
+            u = streams.next_double() - 0.5
+            v = streams.next_double()
+            us = 0.5 - np.abs(u)
+            k = np.floor((2 * a / us + b) * u + lam + 0.43).astype(np.int64)
+            done = (us >= 0.07) & (v <= vr)
+            test = np.flatnonzero(~done & (k >= 0) & ~((us < 0.013) & (v > us)))
+            done[test] = _ptrs_log_test(v[test], us[test], k[test], par[:, test])
+            out[idx[done]] = k[done]
+            idx, par = idx[~done], par[:, ~done]
+            streams.keep(~done)
+    return out
+
+
+#: The guard band of _ptrs_log_test, relative to the sum of its terms' sizes.
+_LOG_GUARD = 64 * 2.0**-52
+_LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04, -5.952380952380952e-04,
+                  8.417508417508418e-04, -1.917526917526918e-03, 6.410256410256410e-03, -2.955065359477124e-02,
+                  1.796443723688307e-01, -1.39243221690590e+00)
+
+
+def _ptrs_log_test(v: np.ndarray, us: np.ndarray, k: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """PTRS's acceptance test log(V) + log(invalpha) - log(a / us**2 + b) <=
+    -lam + k log(lam) - loggam(k + 1), decided as numpy's C decides it.
+
+    np.log can differ from libm's log by an ulp, so numpy decides only
+    outside a band of _LOG_GUARD times the sum of the terms' sizes; inside
+    it, and where loggam takes its small-argument branch (k + 1 < 7), the
+    test is redone with math.log and _loggam, as the C code computes it.
+    """
+    lam, loglam, a, b, invalpha, _ = par
+    x = (k + 1).astype(float)
+    with np.errstate(divide="ignore"):  # v = 0 gives -inf, as libm's log does
+        terms = np.stack([np.log(v), np.log(invalpha), -np.log(a / (us * us) + b), -lam, k * loglam,
+                          -_stirling(np.maximum(x, 7.0), np.log)])
+    lhs, rhs = terms[0] + terms[1] + terms[2], terms[3] + terms[4] + terms[5]
+    ok = lhs <= rhs
+    near = (np.abs(lhs - rhs) <= _LOG_GUARD * np.abs(terms).sum(axis=0)) | (x < 7.0)
+    for i in np.flatnonzero(near & (v > 0.0)).tolist():  # v = 0: lhs is -inf on both sides
+        lam_i, us_i, k_i = float(lam[i]), float(us[i]), int(k[i])
+        lhs_i = math.log(v[i]) + math.log(invalpha[i]) - math.log(a[i] / (us_i * us_i) + b[i])
+        ok[i] = lhs_i <= -lam_i + k_i * math.log(lam_i) - _loggam(float(k_i + 1))
+    return ok
+
+
+def _loggam(x: float) -> float:
+    """numpy's random_loggam, log Gamma(x), transcribed with libm's log."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    gl = _stirling(x0, math.log)
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
+def _stirling(x0, log):
+    """random_loggam's Stirling series at x0 >= 7, with the given log."""
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFS[9]
+    for c in _LOGGAM_COEFFS[8::-1]:
+        gl0 = gl0 * x2 + c
+    return gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * log(x0) - x0

@@ -545,3 +545,20 @@ def test_cli_import_leaves_numpy_random_unloaded():
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.random eagerly")
     assert out == ["False", "False"]
+
+
+@pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
+def test_poisson_sweep_leaves_numpy_random_unloaded(verb):
+    code = (
+        "import contextlib, io, sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from entquant import cli\n"
+        "lazy = 'entquant.sampler' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['{verb}', '--noise', 'poisson']) == 0\n"
+        "print(eager, 'numpy.random' in sys.modules, lazy, 'entquant.sampler' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random eagerly")
+    assert out == ["False", "False", "True", "True"]

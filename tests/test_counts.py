@@ -33,8 +33,10 @@ from entquant import (
     simulate_counts,
     write_counts_csv,
 )
-from entquant.counts import _GROUP_SLOTS, _POISSON_MAX, _simulate, group_settings, seed_states
-from entquant.errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
+import entquant.counts as counts_module
+import entquant.sampler as sampler_module
+from entquant.counts import _GROUP_SLOTS, _POISSON_ARRAY_MIN, _POISSON_MAX, _poisson, _simulate, group_settings, seed_states
+from entquant.errors import BadTrace, DuplicateSetting, MissingSetting, NegativeEigenvalue, ParseError, UnknownLabel
 from entquant.measures import _g_terms, _k_terms
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -154,6 +156,22 @@ class TestSimulateMatchesReference:
         with pytest.raises(ValueError, match="not finite"):
             simulate_counts(np.full((4, 4), np.nan), FULL_SETTINGS, SimConfig(100, noise))
 
+    @pytest.mark.parametrize("noise", ["exact", "poisson"])
+    @pytest.mark.parametrize(
+        "diagonal,error",
+        [((1.5, -0.5, 0, 0), NegativeEigenvalue), ((1.5, 0, 0, 0), BadTrace), ((0.5, 0.5 - 2e-10, 0, 0), BadTrace)],
+    )
+    def test_unphysical_state_rejected(self, noise, diagonal, error):
+        rho = np.diag(diagonal).astype(complex)
+        with pytest.raises(error):
+            simulate_counts(rho, FULL_SETTINGS, SimConfig(100, noise))
+        with pytest.raises(error):
+            _simulate(np.stack([np.eye(4) / 4, rho]), FULL_SETTINGS, SimConfig(100, noise))
+
+    def test_rounding_sized_departures_accepted(self):
+        rho = np.diag([1 + 5e-11, 5e-11, -5e-11, -5e-11]).astype(complex)
+        assert simulate_counts(rho, FULL_SETTINGS, SimConfig(100)).counts[Setting(H, H)] == 100 * (1 + 5e-11)
+
     def test_infinite_state_rejected_without_a_numpy_warning(self):
         for i in range(16):
             rho = np.eye(4, dtype=complex) / 4
@@ -216,6 +234,45 @@ class TestSimulateStacks:
             simulate_counts(rho, FULL_SETTINGS, SimConfig(100, "poisson"))
 
 
+def loop_poisson(means, words):
+    """_poisson made one Generator per draw, as it is below _POISSON_ARRAY_MIN."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counts_module, "_POISSON_ARRAY_MIN", np.inf)
+        return _poisson(means, words)
+
+
+class TestPoissonArrayMatchesLoop:
+    """sampler.poisson_array draws what numpy's Generator(PCG64).poisson draws, one
+    Generator per draw, in every regime of numpy's sampler."""
+
+    @pytest.fixture(scope="class", params=[0, 5, 2**64 + 3])
+    def case(self, request):
+        rng = np.random.default_rng(request.param)
+        means = np.concatenate([
+            np.zeros(500),  # no draw
+            [5e-324, 1e-310, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0)],  # subnormal; 10 +- 1 ulp
+            10.0 ** rng.uniform(-320, 1, 500),
+            rng.uniform(0, 10, 15_000),  # multiplication method
+            10 + rng.exponential(3, 5_000),  # PTRS where loggam's small-argument branch is reached
+            rng.uniform(10, 1e4, 10_000),
+            10.0 ** rng.uniform(4, np.log10(_POISSON_MAX), 4_000),
+            [_POISSON_MAX] * 10,
+        ])
+        words = seed_states(request.param, np.arange(means.size))
+        return means, words, loop_poisson(means, words)
+
+    def test_array_pass_matches_loop(self, case):
+        means, words, want = case
+        assert means.size >= _POISSON_ARRAY_MIN
+        got = _poisson(means, words)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_every_log_test_through_libm_matches_loop(self, case, monkeypatch):
+        means, words, want = case
+        monkeypatch.setattr(sampler_module, "_LOG_GUARD", np.inf)
+        assert np.array_equal(_poisson(means, words), want)
+
+
 class TestPoissonFluxLimit:
     def test_limit_is_numpys(self):
         rng = np.random.default_rng(0)
@@ -231,7 +288,9 @@ class TestPoissonFluxLimit:
         assert SimConfig(1e300, "exact").n_per_setting == 1e300
 
     def test_flux_at_limit_draws_even_past_unit_probability(self, rho_hh):
-        table = simulate_counts(1.5 * rho_hh, FULL_SETTINGS, SimConfig(_POISSON_MAX, "poisson"))
+        rho = (1 + 5e-11) * rho_hh  # a valid trace, whose HH mean still passes the limit
+        assert _POISSON_MAX * np.trace(rho).real > _POISSON_MAX
+        table = simulate_counts(rho, FULL_SETTINGS, SimConfig(_POISSON_MAX, "poisson"))
         assert table.counts[Setting(H, H)] > 0
 
 
