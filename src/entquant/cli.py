@@ -65,7 +65,7 @@ _PREPARE = {"parallel": prepare_parallel, "antiparallel": prepare_antiparallel}
 
 def _read_table(path: str) -> CountsTable:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips the BOM of Excel's "CSV UTF-8"
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None

@@ -61,6 +61,10 @@ FULL_SETTINGS: tuple[Setting, ...] = tuple(
     Setting(a, b) for a, b in product(_LABEL_ORDER, repeat=2)
 )
 _ORDINAL = {s: n for n, s in enumerate(FULL_SETTINGS)}
+#: CSV tables: each spelling BasisLabel.parse accepts -> its index in _LABEL_ORDER, so
+#: setting (a, b) is FULL_SETTINGS[6 * index(a) + index(b)]; each setting's "a,b," row prefix.
+_LABEL_INDEX = {t: _LABEL_ORDER.index(BasisLabel.parse(t)) for t in "HVDARLhvdarl+-"}
+_ROW_PREFIX = tuple(f"{s.a},{s.b}," for s in FULL_SETTINGS)
 #: The joint projector |a b><a b| of every setting, in canonical order.
 _PROJECTORS = np.stack([joint_projector(s.a, s.b) for s in FULL_SETTINGS])
 #: The largest mean numpy's Generator.poisson accepts, computed as numpy does.
@@ -289,11 +293,13 @@ _HEADER = "basis_a,basis_b,count"
 
 
 def parse_counts_csv(text: str) -> CountsTable:
-    """Parse the counts CSV format.
-
-    Lines starting with '#' are comments; '# source:' and '# seed:' comments
-    written by write_counts_csv are recognized so a round trip preserves the
-    table's provenance. The header line must read 'basis_a,basis_b,count'.
+    """Parse the counts CSV format. Blank lines are skipped and '#' lines are
+    comments, of which '# source:' and '# seed:' (as write_counts_csv writes
+    them) restore the table's provenance. Then comes the header
+    'basis_a,basis_b,count', then rows 'a,b,count' in any order: labels
+    H V D A R L in either case, '+' for D and '-' for A, and a nonnegative
+    finite count. Errors are ParseError subclasses whose message starts
+    'line <n>:'. Read files as 'utf-8-sig', as the CLI does, to drop a BOM.
     """
     source = "file"
     seed: int | None = None
@@ -322,17 +328,18 @@ def parse_counts_csv(text: str) -> CountsTable:
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            a = BasisLabel.parse(parts[0])
-            b = BasisLabel.parse(parts[1])
-        except ParseError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            s = FULL_SETTINGS[6 * _LABEL_INDEX[parts[0]] + _LABEL_INDEX[parts[1]]]
+        except KeyError:  # an unknown label, which BasisLabel.parse names
+            try:
+                s = Setting(BasisLabel.parse(parts[0]), BasisLabel.parse(parts[1]))
+            except ParseError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
         try:
             n = float(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: count {parts[2]!r} is not a number")
-        if not np.isfinite(n) or n < 0:
+        if not 0 <= n < np.inf:  # written so that NaN fails too
             raise ParseError(f"line {lineno}: count must be a nonnegative number, got {parts[2]!r}")
-        s = Setting(a, b)
         if s in counts:
             raise DuplicateSetting(f"line {lineno}: duplicate setting {s.a},{s.b}")
         counts[s] = n
@@ -349,11 +356,8 @@ def write_counts_csv(table: CountsTable) -> str:
     if table.seed is not None:
         buf.write(f"# seed: {table.seed}\n")
     buf.write(_HEADER + "\n")
-    ordered = sorted(table.counts, key=lambda s: _ORDINAL[s])
-    for s in ordered:
-        n = table.counts[s]
-        text = str(int(n)) if float(n).is_integer() else repr(float(n))
-        buf.write(f"{s.a},{s.b},{text}\n")
+    for o, n in sorted((_ORDINAL[s], n) for s, n in table.counts.items()):
+        buf.write(f"{_ROW_PREFIX[o]}{int(n) if float(n).is_integer() else repr(float(n))}\n")
     return buf.getvalue()
 
 

@@ -148,6 +148,17 @@ class TestAnalyze:
     def test_nonexistent_file_exits_2(self):
         assert run_cli("analyze", "/no/such/file.csv").returncode == 2
 
+    def test_utf8_bom_gives_the_block1_report(self, capsys, tmp_path):
+        bom = tmp_path / "bom.csv"
+        with open(BLOCK1, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        reports = []
+        for path in (BLOCK1, str(bom)):
+            assert cli.main(["analyze", path, "--tomo", "--theta", "22.5"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            assert reports[-1]["inputs"].pop("file") == path
+        assert reports[0] == reports[1]
+
 
 class TestSimulate:
     def test_exact_singlet_pipeline(self, tmp_path):
@@ -535,16 +546,23 @@ class TestSweepsMatchPerPointLoop:
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
+    """Importing the CLI and reading tables, as a cold single-table run does,
+    loads neither numpy.random nor the Poisson array sampler."""
+    runs = [["analyze", BLOCK1, "--tomo", "--theta", "22.5"], ["tomo", BLOCK1, "--reference", "singlet"],
+            ["ilut-check", BLOCK1, BLOCK2]]
     code = (
-        "import sys, numpy\n"
+        "import contextlib, io, sys, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
         "import entquant.cli\n"
         "print(eager, 'numpy.random' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert all(entquant.cli.main(argv) == 0 for argv in {runs!r})\n"
+        "print('numpy.random' in sys.modules, 'entquant.sampler' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.random eagerly")
-    assert out == ["False", "False"]
+    assert out == ["False", "False", "False", "False"]
 
 
 @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])

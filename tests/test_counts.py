@@ -391,6 +391,73 @@ class TestCsvRoundTrip:
         assert "A," in text and "+" not in text and "-" not in text
 
 
+#: Every label spelling the parser accepts.
+SPELLINGS = [*"HVDARL", *"hvdarl", "+", "-"]
+
+
+def reference_parse_rows(text):
+    """The counts rows of a CSV parsed one at a time through BasisLabel.parse,
+    a new Setting and np.isfinite, with parse_counts_csv's messages."""
+    counts = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if lineno == 1 or not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            a = BasisLabel.parse(parts[0])
+            b = BasisLabel.parse(parts[1])
+        except ParseError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        try:
+            n = float(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: count {parts[2]!r} is not a number")
+        if not np.isfinite(n) or n < 0:
+            raise ParseError(f"line {lineno}: count must be a nonnegative number, got {parts[2]!r}")
+        s = Setting(a, b)
+        if s in counts:
+            raise DuplicateSetting(f"line {lineno}: duplicate setting {s.a},{s.b}")
+        counts[s] = n
+    return counts
+
+
+class TestParserParity:
+    def test_every_spelling_pair(self):
+        for x, y in product(SPELLINGS, repeat=2):
+            text = f"basis_a,basis_b,count\n {x}\t, {y} ,7\n"
+            want = {Setting(BasisLabel.parse(x), BasisLabel.parse(y)): 7.0}
+            assert parse_counts_csv(text).counts == reference_parse_rows(text) == want
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "W,H,3",
+            "H,W,3",
+            " w , x ,3",
+            "H,V,nan",
+            "H,V,inf",
+            "H,V,-3",
+            "H,V,-0.5",
+            "H,V,abc",
+            "H,V",
+            "H,V,3,4",
+            "D,-,10\nD,A,11",
+            "H,H,1\n+,q,2",
+        ],
+    )
+    def test_errors_match_reference(self, rows):
+        text = f"basis_a,basis_b,count\n{rows}\n"
+        with pytest.raises(ParseError) as want:
+            reference_parse_rows(text)
+        with pytest.raises(ParseError) as got:
+            parse_counts_csv(text)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
 class TestJointExpectation:
     def test_block1_zz(self, block1):
         est = joint_expectation(block1, 3, 3)
