@@ -186,21 +186,43 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.start, args.stop, args.steps)
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.12g}" for v in values)
+def _csv(header: str, rows: np.ndarray) -> str:
+    """The header, then a line a row, each value written as f"{v:.12g}" writes it."""
+    line = "\n" + ",".join(["%.12g"] * rows.shape[1])
+    return header + line * len(rows) % tuple(rows.ravel().tolist()) + "\n"
+
+
+def _sweep_pauli_matrix(n: np.ndarray, settings, where) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_pauli_matrix of the stack of tables n (..., 36), and a mask of the
+    tables it cannot read: those with a read group of zero, subnormal or
+    non-finite total. Each such table is named on stderr, as where(index)
+    names it, with its first such group; it is read as a table of ones, so
+    that its row can be computed and then set to nan by the caller."""
+    try:
+        return (*_pauli_matrix(n, settings), np.zeros(n.shape[:-1], dtype=bool))
+    except ValueError:
+        bad = np.zeros(n.shape[:-1], dtype=bool)
+        for index in np.ndindex(bad.shape):
+            try:
+                _pauli_matrix(n[index], settings)
+            except ValueError as exc:
+                bad[index] = True
+                print(f"warning: {where(*index)}: {exc}; its estimates are nan", file=sys.stderr)
+        return (*_pauli_matrix(np.where(bad[..., None], 1.0, n), settings), bad)
 
 
 def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
     cfg = SimConfig(args.n, args.noise, args.seed)
     rhos = _prepared_density(args, grid, _arm_unitaries(args))
-    t, groups, inv = _pauli_matrix(_simulate(rhos, FULL_SETTINGS, cfg), FULL_SETTINGS)
+    n = _simulate(rhos, FULL_SETTINGS, cfg)
+    t, groups, inv, bad = _sweep_pauli_matrix(n, FULL_SETTINGS, lambda b: f"theta {grid[b]:.12g}")
     g, _, grad = _g_terms(t)
     delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
-    c_tomo = concurrence(project_to_physical(linear_inversion(t)))
-    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), concurrence(rhos), c_tomo])
-    lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo", *map(_format_row, rows.tolist())]
-    _write_output("\n".join(lines) + "\n", args.out)
+    c_true, c_tomo = concurrence(np.stack([rhos, project_to_physical(linear_inversion(t))]))
+    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), c_true, c_tomo])
+    rows[bad, 1:4] = rows[bad, 5] = np.nan
+    _write_output(_csv("theta_deg,g,delta_g,c_from_g,c_true,c_tomo", rows), args.out)
     return 0
 
 
@@ -210,12 +232,12 @@ def _cmd_sweep_k(args) -> int:
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
     fixed = np.broadcast_to([_NAMED_STATES["HH"], _NAMED_STATES["VH"]], (len(grid), 2, 4))
     kets = np.concatenate([_PREPARE[args.family](np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
-    t = _pauli_matrix(_simulate(pure_to_density(kets), KMODE_SETTINGS, cfg), KMODE_SETTINGS)[0]
+    n = _simulate(pure_to_density(kets), KMODE_SETTINGS, cfg)
+    t, _, _, bad = _sweep_pauli_matrix(n, KMODE_SETTINGS, lambda b, s: f"theta {grid[b]:.12g}, k{s} state")
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
-    bounds = [k_separable_bound(s) for s in coeffs]
-    rows = np.column_stack([grid, ks, bounds])
-    lines = ["theta_deg,k0,k1,k2,bound", *map(_format_row, rows.tolist())]
-    _write_output("\n".join(lines) + "\n", args.out)
+    ks[bad] = np.nan
+    rows = np.column_stack([grid, ks, [k_separable_bound(s) for s in coeffs]])
+    _write_output(_csv("theta_deg,k0,k1,k2,bound", rows), args.out)
     return 0
 
 

@@ -22,12 +22,13 @@ Poisson counts are numpy's Generator(PCG64).poisson bit for bit, each
 setting of each table on its own substream (see _simulate). A single table
 is drawn one Generator at a time; a stack of ten or more tables, such as a
 sweep, is drawn in one array pass that runs numpy's PCG64 and Poisson
-samplers on all substreams at once (see sampler), so such a sweep
-does not import numpy.random.
+samplers on all substreams at once, in block rounds by PCG64 jump-ahead
+(see sampler), so such a sweep does not import numpy.random.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import operator
 from dataclasses import dataclass
@@ -182,11 +183,10 @@ def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> 
 
 
 #: Draws from which _poisson runs one array pass instead of one Generator per
-#: draw (ten 36-setting tables). The loop costs about 4.4 us a draw. The array
-#: pass costs 0.9-1.3 ms for 144 draws and 1.4-2.0 ms for 504, more where many
-#: means lie below 10 and the multiplication method takes more rounds. On a
-#: 2-core x86-64 host (numpy 2.4) they broke even near 250 draws on random
-#: states and near 450 on the states of a sweep-g grid.
+#: draw (ten 36-setting tables). On a 2-core x86-64 host (numpy 2.4) the loop
+#: costs about 2 us a draw, and the array pass, in block rounds, 0.4-0.5 ms
+#: for 144 to 504 draws of random states or of a sweep-g grid: they break
+#: even near 200-250 draws.
 _POISSON_ARRAY_MIN = 360
 
 
@@ -232,21 +232,25 @@ def seed_states(*key) -> np.ndarray:
     generate_state(1, np.uint64), since generate_state is prefix-consistent.
     """
     shape = np.broadcast_shapes(*(np.shape(p) for p in key))
-    words = []  # (32-bit word, whether the key has it)
+    words = []  # (32-bit word, whether the key has it: True for every key, or an array)
     for part in key:
         if np.ndim(part) == 0 and operator.index(part) >= 0:
             part = operator.index(part)
             words += [(part >> s & 0xFFFFFFFF, True) for s in range(0, max(part.bit_length(), 1), 32)]
         elif np.ndim(part) and (np.asarray(part) >= 0).all():
             part = np.asarray(part).astype(np.uint64)
-            words += [(part.astype(np.uint32), True), ((part >> 32).astype(np.uint32), part >> 32 > 0)]
+            words.append((part.astype(np.uint32), True))
+            if (high := part >> 32).any():
+                words.append((high.astype(np.uint32), True if high.all() else high > 0))
         else:
             raise ValueError(f"seed must be a nonnegative integer, got {part!r}")
     entropy = np.empty((len(words),) + shape, dtype=np.uint32)
-    have = np.empty((len(words),) + shape, dtype=bool)
-    for i, (word, has) in enumerate(words):
-        entropy[i], have[i] = word, has
-    entropy, have = entropy.reshape(len(words), -1), have.reshape(len(words), -1)
+    for i, (word, _) in enumerate(words):
+        entropy[i] = word
+    entropy = entropy.reshape(len(words), -1)
+    if all(has is True for _, has in words):  # every key has the same words, as in sweeps and single tables
+        return _seed_pool(entropy).reshape(shape + (4,))
+    have = np.stack([np.broadcast_to(has, shape) for _, has in words]).reshape(len(words), -1)
     entropy = np.take_along_axis(entropy, np.argsort(~have, axis=0, kind="stable"), axis=0)
     length = have.sum(axis=0)
     out = np.empty((length.size, 4), dtype=np.uint64)
@@ -255,34 +259,41 @@ def seed_states(*key) -> np.ndarray:
     return out.reshape(shape + (4,))
 
 
+@functools.lru_cache
+def _hash_consts(c: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's hash constants c * mult**j mod 2**32, j = 0..n, as a
+    read-only column, since every call shares it."""
+    consts = np.array([c * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(n + 1)], dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
+    v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ r >> np.uint32(16)
+
+
 def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence's pool mixing and generate_state(4, np.uint64) for each
     column of the (L, K) uint32 entropy: (K, 4) uint64. Hash call j xors with
     constant j and multiplies by constant j + 1 whatever it hashes, so calls
     that do not depend on one another run as one array operation."""
-
-    def consts(c: int, mult: int, n: int) -> np.ndarray:  # c * mult**j mod 2**32, j = 0..n
-        return np.array([c * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(n + 1)], dtype=np.uint32)[:, None]
-
-    def hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
-        v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
-        return v ^ v >> np.uint32(16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return r ^ r >> np.uint32(16)
-
-    c = consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
+    c = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
     pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
     pool[: len(entropy)] = entropy[:4]
-    pool = hashmix(pool, c, 0)
+    pool = _hashmix(pool, c, 0)
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], c, 4 + 3 * src))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * 3], c, 4 + 3 * src))
     for i, word in enumerate(entropy[4:]):
-        pool = mix(pool, hashmix(np.stack([word] * 4), c, 16 + 4 * i))
-    v = hashmix(pool[[0, 1, 2, 3] * 2], consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
-    return (v[0::2] | v[1::2] << np.uint64(32)).T
+        pool = _mix(pool, _hashmix(np.stack([word] * 4), c, 16 + 4 * i))
+    v = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
+    return np.ascontiguousarray((v[0::2] | v[1::2] << np.uint64(32)).T)  # PCG64 reads its state words' raw buffer
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +422,7 @@ def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarra
         total, (i, j) = sums[index][0], np.add(index[-2:], 1)
         kind = "zero" if total == 0.0 else "subnormal" if total < 1.0 else "non-finite"
         raise ValueError(f"settings group ({i}, {j}) has {kind} total counts")
-    t = (sums * inv[..., None]).reshape(n.shape)[..., _T_SOURCE]
+    t = (sums * inv[..., None]).reshape(n.shape).take(_T_SOURCE, axis=-1)  # C order, as a single table has it
     t[..., 0] = 1.0
     return t.reshape(n.shape[:-1] + (4, 4)), groups, inv
 

@@ -6,6 +6,13 @@ gets the integers numpy's per-draw Generator gives, bit for bit. The module
 is imported only for such a stack, so single-table runs neither load nor
 compile it.
 
+The stack is drawn in rounds, each over the streams not yet done. A round
+costs about the same whether it serves 40 streams or 1,500, so the small
+sets that need many draws, the multiplication method's streams and PTRS's
+stragglers after its first round, draw in blocks: a stream's next n states
+come in one step by jump-ahead, as an LCG allows (Brown, Random number
+generation with arbitrary strides, Trans. Am. Nucl. Soc. 71, 202, 1994).
+
 The algorithms are numpy's own: the PCG64 XSL-RR generator (O'Neill, PCG
 tech report, 2014) and its random_poisson, which draws 0 at a mean of 0,
 uses the multiplication method below 10 and Hoermann's PTRS transformed
@@ -22,8 +29,48 @@ import numpy as np
 # would turn a uint64 scalar into a float64.
 _U1, _U11, _U32, _U58, _U63 = (np.uint64(s) for s in (1, 11, 32, 58, 63))
 _LO32 = np.uint64(0xFFFFFFFF)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_PCG_MULT_LO_LIMBS = (_PCG_MULT_LO & _LO32, _PCG_MULT_LO >> _U32)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+
+#: Doubles a round of the multiplication method draws per stream, and (u, v)
+#: pairs a round of PTRS draws per stream after its first round.
+_MULT_BLOCK = 16
+_PTRS_BLOCK = 4
+
+
+def _jump_table(n: int) -> np.ndarray:
+    """Rows hi(A_i), lo(A_i), hi(C_i), lo(C_i) for i = 1..n, where A_i = mult**i
+    and C_i = sum of mult**j over j < i, mod 2**128: i steps of the LCG take a
+    state s to A_i s + C_i inc."""
+    rows, a, c = [], 1, 0
+    for _ in range(n):
+        a, c = a * _PCG_MULT % (1 << 128), (c + a) % (1 << 128)
+        rows.append([a >> 64, a & 0xFFFFFFFFFFFFFFFF, c >> 64, c & 0xFFFFFFFFFFFFFFFF])
+    return np.array(rows, dtype=np.uint64).T
+
+
+_JUMPS = _jump_table(max(_MULT_BLOCK, 2 * _PTRS_BLOCK))
+
+
+def _mul128(xhi, xlo, yhi, ylo):
+    """x * y mod 2**128 as hi/lo uint64 words; the high word of xlo * ylo is
+    built from 32-bit limbs, so no partial product overflows."""
+    x0, x1, y0, y1 = xlo & _LO32, xlo >> _U32, ylo & _LO32, ylo >> _U32
+    mid = x1 * y0 + (x0 * y0 >> _U32)
+    mulhi = x1 * y1 + (mid >> _U32) + ((mid & _LO32) + x0 * y1 >> _U32)
+    return mulhi + xlo * yhi + xhi * ylo, xlo * ylo
+
+
+def _add128(x, y):
+    """x + y mod 2**128 of two (hi, lo) pairs."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+def _double(hi, lo):
+    """PCG64's double of a state, (xsl_rr(state) >> 11) * 2**-53."""
+    x, rot = hi ^ lo, hi >> _U58
+    return ((x >> rot | x << (-rot & _U63)) >> _U11) * 2.0**-53
 
 
 class _PCG64Streams:
@@ -43,20 +90,22 @@ class _PCG64Streams:
         self._step()
 
     def _step(self) -> None:
-        """state = state * mult + inc mod 2**128; the high word of lo * mult_lo
-        is built from 32-bit limbs, so no partial product overflows."""
-        lo, (m0, m1) = self.lo, _PCG_MULT_LO_LIMBS
-        x0, x1 = lo & _LO32, lo >> _U32
-        mid = x1 * m0 + (x0 * m0 >> _U32)
-        mulhi = x1 * m1 + (mid >> _U32) + ((mid & _LO32) + x0 * m1 >> _U32)
-        self.lo = lo * _PCG_MULT_LO + self.inc_lo
-        self.hi = mulhi + lo * _PCG_MULT_HI + self.hi * _PCG_MULT_LO + self.inc_hi + (self.lo < self.inc_lo)
+        """state = state * mult + inc mod 2**128."""
+        self.hi, self.lo = _add128(_mul128(self.hi, self.lo, _PCG_MULT_HI, _PCG_MULT_LO), (self.inc_hi, self.inc_lo))
 
     def next_double(self) -> np.ndarray:
-        """Each stream's next double, (xsl_rr(state) >> 11) * 2**-53."""
+        """Each stream's next double."""
         self._step()
-        x, rot = self.hi ^ self.lo, self.hi >> _U58
-        return ((x >> rot | x << (-rot & _U63)) >> _U11) * 2.0**-53
+        return _double(self.hi, self.lo)
+
+    def block(self, n: int) -> np.ndarray:
+        """Each stream's next n doubles (K, n), its n next states reached at
+        once by jump-ahead, A_i state + C_i inc for i = 1..n."""
+        a_hi, a_lo, c_hi, c_lo = _JUMPS[:, :n]
+        hi, lo = _add128(_mul128(self.hi[:, None], self.lo[:, None], a_hi, a_lo),
+                         _mul128(self.inc_hi[:, None], self.inc_lo[:, None], c_hi, c_lo))
+        self.hi, self.lo = hi[:, -1], lo[:, -1]
+        return _double(hi, lo)
 
     def keep(self, mask: np.ndarray) -> None:
         self.hi, self.lo, self.inc_hi, self.inc_lo = self.hi[mask], self.lo[mask], self.inc_hi[mask], self.inc_lo[mask]
@@ -65,32 +114,42 @@ class _PCG64Streams:
 def poisson_array(lam: np.ndarray, words: np.ndarray) -> np.ndarray:
     """numpy's random_poisson on every mean lam (K,) at once, stream i seeded
     from the state words words[i] (K, 4). Each round draws for the streams
-    not yet done; a done stream is dropped."""
+    not yet done, and a done stream is dropped. A round of the multiplication
+    method draws _MULT_BLOCK doubles a stream; a stream's count is the first
+    index where the running product falls to exp(-lam). PTRS's first round
+    draws one (u, v) pair a stream, a later one _PTRS_BLOCK pairs, of which
+    the stream takes the first that passes."""
     out = np.zeros(lam.size)
     idx = np.flatnonzero((0.0 < lam) & (lam < 10.0))
     streams, prod, count = _PCG64Streams(words[idx]), np.ones(idx.size), 0
-    enlam = np.array([math.exp(-m) for m in lam[idx].tolist()])  # libm's exp, as numpy's C
+    enlam = np.array([math.exp(-m) for m in lam[idx].tolist()]).reshape(-1, 1)  # libm's exp, as numpy's C
     while idx.size:
-        prod *= streams.next_double()
-        go = prod > enlam
-        out[idx[~go]] = count
-        idx, prod, enlam, count = idx[go], prod[go], enlam[go], count + 1
-        streams.keep(go)
+        prods = streams.block(_MULT_BLOCK)
+        prods[:, 0] *= prod
+        np.multiply.accumulate(prods, axis=1, out=prods)
+        stop = prods <= enlam
+        done = stop.any(axis=1)
+        out[idx[done]] = count + stop[done].argmax(axis=1)
+        idx, prod, enlam, count = idx[~done], prods[~done, -1], enlam[~done], count + _MULT_BLOCK
+        streams.keep(~done)
     idx = np.flatnonzero(lam >= 10.0)
     streams, lam = _PCG64Streams(words[idx]), lam[idx]
     b = 0.931 + 2.53 * np.sqrt(lam)
     par = np.stack([lam, np.log(lam), -0.059 + 0.02483 * b, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)])
+    first = True  # over all streams, two plain steps cost less than a block's two 128-bit products per draw
     with np.errstate(divide="ignore", invalid="ignore"):  # us = 0 sends k to -inf, then int64 min: rejected as C does
         while idx.size:
-            lam, _, a, b, _, vr = par
-            u = streams.next_double() - 0.5
-            v = streams.next_double()
+            draws = np.column_stack([streams.next_double(), streams.next_double()]) if first else streams.block(2 * _PTRS_BLOCK)
+            first = False
+            lam, _, a, b, _, vr = par[..., None]
+            u, v = draws[:, 0::2] - 0.5, draws[:, 1::2]
             us = 0.5 - np.abs(u)
             k = np.floor((2 * a / us + b) * u + lam + 0.43).astype(np.int64)
-            done = (us >= 0.07) & (v <= vr)
-            test = np.flatnonzero(~done & (k >= 0) & ~((us < 0.013) & (v > us)))
-            done[test] = _ptrs_log_test(v[test], us[test], k[test], par[:, test])
-            out[idx[done]] = k[done]
+            ok = (us >= 0.07) & (v <= vr)
+            i, j = np.nonzero(~ok & (k >= 0) & ~((us < 0.013) & (v > us)))
+            ok[i, j] = _ptrs_log_test(v[i, j], us[i, j], k[i, j], par[:, i])
+            done = ok.any(axis=1)
+            out[idx[done]] = k[done, ok[done].argmax(axis=1)]
             idx, par = idx[~done], par[:, ~done]
             streams.keep(~done)
     return out

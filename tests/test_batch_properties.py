@@ -1,0 +1,76 @@
+"""Property tests: a call on a stack of states or tables gives, bit for bit,
+what the same call gives on each member alone. The batched sweeps rely on
+this, down to one concurrence call on the stacked true and tomographic
+states. The examples are derandomized, so every run draws the same ones."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from entquant import FULL_SETTINGS, KMODE_SETTINGS, concurrence, linear_inversion, project_to_physical  # noqa: E402
+from entquant.algebra import pure_to_density, random_density, random_pure  # noqa: E402
+from entquant.counts import _delta, _pauli_matrix  # noqa: E402
+from entquant.measures import _g_terms, pauli_expectation_matrix  # noqa: E402
+
+SETTINGS = hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+#: A member of a stack: a mixed, a pure (rank 1) or a diagonal product state.
+members = st.one_of(
+    st.integers(0, 2**32).map(random_density),
+    st.integers(0, 2**32).map(lambda seed: pure_to_density(random_pure(seed))),
+    st.sampled_from([np.diag([1.0, 0, 0, 0]).astype(complex), np.eye(4, dtype=complex) / 4]),
+)
+stacks = st.lists(members, min_size=1, max_size=12).map(np.stack)
+
+
+def assert_members_equal(batched, single):
+    for i, want in enumerate(single):
+        assert np.array_equal(batched[i], want, equal_nan=True), i
+
+
+@SETTINGS
+@hypothesis.given(stacks)
+def test_concurrence(rhos):
+    assert_members_equal(concurrence(rhos), [concurrence(rho) for rho in rhos])
+    pair = concurrence(np.stack([rhos, rhos[::-1]]))  # the (2, B) stack a sweep takes
+    assert_members_equal(pair[1], [concurrence(rho) for rho in rhos[::-1]])
+
+
+@SETTINGS
+@hypothesis.given(stacks, st.integers(0, 2**32))
+def test_tomography(rhos, seed):
+    noise = np.random.default_rng(seed).normal(scale=0.05, size=(len(rhos), 4, 4))
+    noise[:, 0, 0] = 0.0
+    t = pauli_expectation_matrix(rhos) + noise  # unphysical, as noisy counts make it
+    batched = project_to_physical(linear_inversion(t))
+    assert_members_equal(batched, [project_to_physical(linear_inversion(ti)) for ti in t])
+
+
+tables = st.tuples(
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+    st.sampled_from([0.5, 3.0, 50.0, 5000.0, 1e12]),
+    st.sampled_from([FULL_SETTINGS, KMODE_SETTINGS]),
+    st.booleans(),
+)
+
+
+@SETTINGS
+@hypothesis.given(tables)
+def test_estimates_and_error_bars(spec):
+    size, seed, flux, settings, exact = spec
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(flux, size=(size, 36)).astype(float) + 1.0  # every group total positive
+    if rng.random() < 0.5:
+        n *= rng.uniform(0.5, 2.0, size=n.shape)  # non-integer counts
+    t, groups, inv = _pauli_matrix(n, settings)
+    g, _, grad = _g_terms(t)
+    dg = _delta(groups, inv, grad, exact)
+    for i in range(size):
+        ti, gi, invi = _pauli_matrix(n[i], settings)
+        g1, _, grad1 = _g_terms(ti)
+        assert np.array_equal(t[i], ti) and np.array_equal(inv[i], invi)
+        assert np.array_equal(g[i], g1)
+        assert np.array_equal(dg[i], _delta(gi, invi, grad1, exact))

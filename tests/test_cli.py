@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -488,7 +489,11 @@ def reference_sweep_g(family, grid, noise, seed, n, damp=None, arms=None):
         if arms is not None:
             rho = apply_local_unitary(rho, *arms)
         table = simulate_counts(rho, FULL_SETTINGS, SimConfig(n, noise, _point_seed(seed, idx)))
-        res = g_from_counts(table)
+        try:
+            res = g_from_counts(table)
+        except ValueError:  # a read group's total is zero: the sweep writes nan for the estimates
+            lines.append(_row((theta, math.nan, math.nan, math.nan, concurrence(rho), math.nan)))
+            continue
         c_tomo = concurrence(project_to_physical(linear_inversion(res.t)))
         c_g = concurrence_from_g(min(3.0, max(0.0, res.g)))
         lines.append(_row((theta, res.g, res.delta_g, c_g, concurrence(rho), c_tomo)))
@@ -506,7 +511,10 @@ def reference_sweep_k(family, grid, noise, seed, n):
         ks = []
         for state_idx, rho in enumerate([pure_to_density(prep(rad)), *fixed]):
             cfg = SimConfig(n, noise, _point_seed(seed, idx, state_idx))
-            ks.append(k_from_counts(simulate_counts(rho, KMODE_SETTINGS, cfg), s).k)
+            try:
+                ks.append(k_from_counts(simulate_counts(rho, KMODE_SETTINGS, cfg), s).k)
+            except ValueError:  # a read group's total is zero: the sweep writes nan
+                ks.append(math.nan)
         lines.append(_row((theta, *ks, k_separable_bound(s))))
     return "\n".join(lines) + "\n"
 
@@ -543,6 +551,68 @@ class TestSweepsMatchPerPointLoop:
         got = run_in_process(capsys, "sweep-k", "--family", family, "--steps", "19", "--noise", noise,
                              "--seed", str(seed), "--n", "200")
         assert got == reference_sweep_k(family, np.linspace(0, 45, 19), noise, seed, 200.0)
+
+
+class TestLowFluxSweeps:
+    """A point whose table has a read group with a zero total gets nan in its
+    estimated fields and one stderr line; every other row is the per-point
+    reference, and the sweep exits 0."""
+
+    @staticmethod
+    def check_warnings(out, err, pattern):
+        nan_rows = [line.split(",") for line in out.splitlines()[1:] if "nan" in line]
+        assert nan_rows
+        warnings = err.splitlines()
+        assert len(warnings) >= len(nan_rows)
+        for line in warnings:
+            assert re.fullmatch(pattern, line), line
+        return nan_rows, warnings
+
+    @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
+    @pytest.mark.parametrize("steps,seed", [(31, 5), (46, 7)])
+    def test_sweep_g(self, capsys, family, steps, seed):
+        assert cli.main(["sweep-g", "--family", family, "--steps", str(steps), "--noise", "poisson",
+                         "--seed", str(seed), "--n", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert out == reference_sweep_g(family, np.linspace(0, 45, steps), "poisson", seed, 3.0)
+        pattern = r"warning: theta ([0-9.e-]+): settings group \([123], [123]\) has zero total counts; its estimates are nan"
+        nan_rows, warnings = self.check_warnings(out, err, pattern)
+        assert [re.fullmatch(pattern, w).group(1) for w in warnings] == [row[0] for row in nan_rows]
+        for row in nan_rows:
+            assert [row[i] == "nan" for i in range(6)] == [False, True, True, True, False, True]
+
+    @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
+    @pytest.mark.parametrize("steps,seed", [(31, 5), (46, 7)])
+    def test_sweep_k(self, capsys, family, steps, seed):
+        assert cli.main(["sweep-k", "--family", family, "--steps", str(steps), "--noise", "poisson",
+                         "--seed", str(seed), "--n", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert out == reference_sweep_k(family, np.linspace(0, 45, steps), "poisson", seed, 3.0)
+        pattern = r"warning: theta ([0-9.e-]+), k([012]) state: settings group \([123], [123]\) has zero total counts; its estimates are nan"
+        _, warnings = self.check_warnings(out, err, pattern)
+        rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()[1:]}
+        named = {re.fullmatch(pattern, w).groups() for w in warnings}
+        assert named == {(theta, str(k)) for theta, row in rows.items() for k in range(3) if row[1 + k] == "nan"}
+
+    def test_readable_sweep_writes_no_warning(self, capsys):
+        assert cli.main(["sweep-g", "--steps", "31", "--noise", "poisson", "--seed", "5", "--n", "500"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out
+
+    @pytest.fixture
+    def empty_group_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        zero = set(counts.group_settings(3, 3))
+        path.write_text("basis_a,basis_b,count\n" + "".join(f"{s.a},{s.b},{0 if s in zero else 7}\n" for s in FULL_SETTINGS))
+        return str(path)
+
+    @pytest.mark.parametrize("verb", [("analyze", "--tomo"), ("tomo",), ("ilut-check",)])
+    def test_reading_verbs_still_exit_2_naming_the_group(self, capsys, empty_group_table, verb):
+        files = [empty_group_table] * (2 if verb[0] == "ilut-check" else 1)
+        assert cli.main([verb[0], *files, *verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "settings group (3, 3) has zero total counts" in captured.err
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -272,6 +272,34 @@ class TestPoissonArrayMatchesLoop:
         monkeypatch.setattr(sampler_module, "_LOG_GUARD", np.inf)
         assert np.array_equal(_poisson(means, words), want)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_small_block_rounds_match_loop(self, case, monkeypatch, size):
+        """Every multiplication-method stream crosses blocks, and every PTRS
+        straggler takes several block rounds."""
+        means, words, want = case
+        monkeypatch.setattr(sampler_module, "_MULT_BLOCK", size)
+        monkeypatch.setattr(sampler_module, "_PTRS_BLOCK", size)
+        assert np.array_equal(_poisson(means, words), want)
+
+
+class TestPCG64JumpAhead:
+    def test_block_is_consecutive_steps(self):
+        words = seed_states(11, np.arange(50))
+        stepped, jumped = sampler_module._PCG64Streams(words), sampler_module._PCG64Streams(words)
+        for n in (1, 2, sampler_module._JUMPS.shape[1]):
+            want = np.column_stack([stepped.next_double() for _ in range(n)])
+            assert np.array_equal(jumped.block(n), want)
+            assert np.array_equal(jumped.hi, stepped.hi) and np.array_equal(jumped.lo, stepped.lo)
+
+    def test_doubles_are_numpys(self):
+        from numpy.random import PCG64, Generator
+        from numpy.random.bit_generator import ISeedSequence
+
+        words = seed_states(2**64 + 3, np.arange(20))
+        ISeedSequence.register(counts_module._StateWords)
+        want = [Generator(PCG64(counts_module._StateWords(w))).random(9) for w in words]
+        assert np.array_equal(sampler_module._PCG64Streams(words).block(9), want)
+
 
 class TestPoissonFluxLimit:
     def test_limit_is_numpys(self):
@@ -324,6 +352,23 @@ class TestSeedStates:
         for b, seed in enumerate(seeds):
             for o in range(36):
                 assert np.array_equal(got[b, o], seed_sequence_state(int(seed), o)), (int(seed), o)
+
+    @pytest.mark.parametrize("seed", SEEDS[:10])
+    def test_sweep_two_level_key(self, seed):
+        """A sweep seeds point b from word 0 of [seed, b], then its setting o from [that word, o]."""
+        points = seed_states(seed, np.arange(46))[..., :1]
+        got = seed_states(points, np.arange(36))
+        assert got.shape == (46, 36, 4) and got.flags.c_contiguous
+        for b in range(46):
+            w0 = int(np.random.SeedSequence([seed, b]).generate_state(1, np.uint64)[0])
+            assert points[b, 0] == w0
+            for o in range(36):
+                assert np.array_equal(got[b, o], seed_sequence_state(w0, o)), (seed, b, o)
+
+    def test_state_words_are_c_contiguous(self):
+        """PCG64 reads the words' raw buffer, so a strided row would seed the wrong stream."""
+        for key in [(5, np.arange(36)), (2**100 + 7, np.arange(3)), (np.array([1, 2**40], dtype=np.uint64)[:, None], np.arange(4))]:
+            assert seed_states(*key).flags.c_contiguous
 
     def test_first_word_is_the_one_word_state(self):
         for seed in SEEDS[:10]:
