@@ -47,7 +47,7 @@ from .optics import (
     prepare_parallel,
     waveplate_unitary,
 )
-from .tomography import fidelity, linear_inversion, project_to_physical, reconstruct
+from .tomography import _tomo_concurrence, fidelity, linear_inversion, project_to_physical, reconstruct
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
@@ -153,10 +153,9 @@ def _cmd_analyze(args) -> int:
         "concurrence_from_g": _clamped_c_from_g(res.g),
     }
     if args.tomo:
-        report["tomo_concurrence"] = concurrence(project_to_physical(linear_inversion(res.t)))
+        report["tomo_concurrence"] = _tomo_concurrence(res.t)
     if args.theta is not None:
-        s = _schmidt_from_theta(args.theta)
-        kres = k_from_counts(table, s)
+        kres = k_from_counts(table, _schmidt_from_theta(args.theta), res)
         report["k"] = {
             "value": kres.k,
             "bound": kres.bound,

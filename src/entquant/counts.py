@@ -16,7 +16,10 @@ matrix t[i, j] = <s_i (x) s_j>. g and k are functions of t (see measures),
 and every error bar follows one delta-method rule, _delta: with the counts
 independent Poisson variables, var(n) = n, an estimate f(t) has
 sigma_f^2 = sum over groups of var_p(w) / T, p the group's outcome
-frequencies and w each outcome's weight in grad_t f . t.
+frequencies and w each outcome's weight in grad_t f . t. The CLI's analyze
+reads g, k and the tomographic state from one estimate of the full table:
+k reads only the diagonal groups, so it is the same, bit for bit, on the
+full table's estimate as on its k-mode subset's.
 
 Poisson counts are numpy's Generator(PCG64).poisson bit for bit, each
 setting of each table on its own substream (see _simulate). A single table
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import io
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from importlib import resources
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -98,20 +101,16 @@ class CountsTable:
     counts: dict[Setting, float]
     source: str = "file"
     seed: int | None = None
+    _checked: InitVar[bool] = False  # set by parse_counts_csv, which has checked every count
 
-    def __post_init__(self):
-        for s, n in self.counts.items():
+    def __post_init__(self, _checked):
+        for s, n in () if _checked else self.counts.items():
             if not 0 <= n < np.inf:  # written so that NaN fails too
                 raise ValueError(f"count for {s} must be nonnegative and finite, got {n!r}")
 
     @property
     def is_exact(self) -> bool:
         return self.source == "exact"
-
-    def require(self, settings: Iterable[Setting]) -> None:
-        for s in settings:
-            if s not in self.counts:
-                raise MissingSetting(f"counts table is missing setting {s.a},{s.b}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ def parse_counts_csv(text: str) -> CountsTable:
         counts[s] = n
     if not saw_header:
         raise ParseError("line 1: missing header line")
-    return CountsTable(counts=counts, source=source, seed=seed)
+    return CountsTable(counts=counts, source=source, seed=seed, _checked=True)
 
 
 def write_counts_csv(table: CountsTable) -> str:
@@ -391,12 +390,24 @@ _T_SOURCE = np.array(
 )
 
 
+@functools.lru_cache
+def _layout(settings: tuple[Setting, ...]) -> tuple[np.ndarray, operator.itemgetter, np.ndarray]:
+    """A setting list's canonical ordinals, a getter of its counts from a
+    table's dict, and the mask (3, 3) of the groups it reads."""
+    ords = np.array([_ORDINAL[s] for s in settings], dtype=np.intp)
+    read = np.isin(_GROUP_SLOTS, ords).any(axis=-1)
+    ords.flags.writeable = read.flags.writeable = False  # every call shares them
+    return ords, operator.itemgetter(*settings), read
+
+
 def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The group-normalized estimator on one table: _pauli_matrix of its
     counts at the given settings."""
-    table.require(settings)
-    n = np.zeros(len(FULL_SETTINGS))
-    n[[_ORDINAL[s] for s in settings]] = [table.counts[s] for s in settings]
+    ords, get, _ = _layout(settings)
+    try:  # the counts at their canonical ordinals, zero elsewhere
+        n = np.bincount(ords, weights=get(table.counts), minlength=len(FULL_SETTINGS))
+    except KeyError as exc:  # the getter stops at the first setting the table lacks
+        raise MissingSetting(f"counts table is missing setting {exc.args[0].a},{exc.args[0].b}") from None
     return _pauli_matrix(n, settings)
 
 
@@ -411,7 +422,7 @@ def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarra
     read them are 0. A group that is read must have a total whose inverse
     is positive and finite; otherwise ValueError names the first such group.
     """
-    read = (np.bincount([_ORDINAL[s] for s in settings], minlength=len(FULL_SETTINGS)) > 0)[_GROUP_SLOTS].any(axis=-1)
+    read = _layout(tuple(settings))[2]
     groups = n[..., _GROUP_SLOTS]
     with np.errstate(over="ignore", divide="ignore"):  # bad totals are reported below, not warned about
         sums = groups @ _MOMENTS.T
@@ -468,20 +479,22 @@ def g_from_counts(table: CountsTable) -> GResult:
     under the group-normalization convention above; delta_g treats all 36
     counts as independent Poisson variables (zero for exact tables).
     """
-    t, groups, inv = _estimate(table, FULL_SETTINGS)
+    estimate = t, groups, inv = _estimate(table, FULL_SETTINGS)
     g, cov, grad = _g_terms(t)
-    return GResult(g=float(g), covariance=cov, delta_g=float(_delta(groups, inv, grad, table.is_exact)), t=t)
+    return GResult(g=float(g), covariance=cov, delta_g=float(_delta(groups, inv, grad, table.is_exact)), t=t, estimate=estimate)
 
 
-def k_from_counts(table: CountsTable, s: SchmidtCoeffs) -> KResult:
+def k_from_counts(table: CountsTable, s: SchmidtCoeffs, g: GResult | None = None) -> KResult:
     """Nonlocal variance sum from the 12-setting k-mode subset.
 
     Reads t00, t03, t30, t33, t11 and t22 only, so a full table gives the
-    same result as its k-mode subset. The estimate is clamped at 0: the
+    same result as its k-mode subset. Given g, the g_from_counts result of
+    this same table, k reads the estimate that g was made from, and the
+    result is the same bit for bit. The estimate is clamped at 0: the
     unbiased sum can dip marginally negative under Poisson noise when the
     true value is 0.
     """
-    t, groups, inv = _estimate(table, KMODE_SETTINGS)
+    t, groups, inv = _estimate(table, KMODE_SETTINGS) if g is None else g.estimate
     k, m, grad = _k_terms(t, s.a, s.b)
     return KResult(
         k=float(k),

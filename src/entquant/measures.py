@@ -80,6 +80,7 @@ class GResult:
     covariance: np.ndarray
     delta_g: float | None = None
     t: np.ndarray | None = None  # the Pauli matrix that g was estimated from
+    estimate: tuple | None = None  # (t, group counts, inverse group totals), which k reads too
 
 
 def g_measure(rho: np.ndarray) -> GResult:
@@ -98,7 +99,12 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     states (..., 4, 4) gives an array of concurrences.
     """
     rho = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    return _concurrence_from_eigh(*np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2))
+
+
+def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """concurrence of the state (or stack) v diag(w) v^dag, from its
+    eigenvalues w and eigenvectors v; sqrt(rho) = v diag(sqrt(w)) v^dag."""
     sq = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     m = sq @ _SIGMA_YY @ sq.conj()
     s = np.linalg.svd(m, compute_uv=False)
@@ -236,6 +242,23 @@ class KResult:
     delta_k: float | None = None
 
 
+#: 4 P[i, e] = tr(sigma_e M_i) (see _k_terms) as signs (3, 4, 16) of the terms
+#: a^2 + b^2, a^2 - b^2 and 2ab: for e = II, IZ, ZI, ZZ, XX, YY, the sign over M_1..M_4.
+_K_SIGNS = np.zeros((3, 4, 16))
+_K_SIGNS[[0, 1, 1, 0, 2, 2], :, [0, 3, 12, 15, 5, 10]] = [
+    [1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1], [1, 1, -1, -1], [-1, 1, -1, 1]
+]
+
+
+def _k_projection(a, b) -> np.ndarray:
+    """P (..., 4, 16) of _k_terms: each weight is one of three terms with a
+    sign (_K_SIGNS), which equals, bit for bit, the complex trace
+    tr(sigma_e M_i) / 4 over _PAULI_TENSOR and _k_projectors(a, b). Like the
+    trace, it doubles ab after rounding it and scales by 1/4 after the sign,
+    so that a weight that underflows keeps the trace's sign of zero."""
+    return np.einsum("...k,kie->...ie", np.stack([a * a + b * b, a * a - b * b, 2.0 * (a * b)], axis=-1), _K_SIGNS) / 4.0
+
+
 def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k clamped at 0, the projector expectations m and dk/dt (4x4) at each
     Pauli matrix of the stack t (..., 4, 4), for Schmidt coefficients a, b
@@ -245,7 +268,7 @@ def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Only II, IZ, ZI, ZZ, XX and YY carry weight, because
     |00><11| + h.c. = (XX - YY) / 2 and |01><10| + h.c. = (XX + YY) / 2.
     """
-    proj = np.einsum("eij,...mji->...me", _PAULI_TENSOR, _k_projectors(a, b)).real / 4.0
+    proj = _k_projection(a, b)
     m = (proj @ t.reshape(t.shape[:-2] + (16, 1)))[..., 0]
     k = np.sum(m - m * m, axis=-1)
     grad = ((1.0 - 2.0 * m)[..., None, :] @ proj).reshape(m.shape[:-1] + (4, 4))

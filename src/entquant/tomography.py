@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import validate_density
 from .counts import FULL_SETTINGS, CountsTable, _estimate
-from .measures import _PAULI_TENSOR, concurrence
+from .measures import _PAULI_TENSOR, _concurrence_from_eigh
 
 
 def pauli_vector_from_counts(table: CountsTable) -> np.ndarray:
@@ -51,12 +51,17 @@ def project_to_physical(rho_raw: np.ndarray) -> np.ndarray:
     Idempotent, and the identity on inputs that are already physical. A
     stack (..., 4, 4) is projected matrix by matrix.
     """
+    return _projection(rho_raw)[0]
+
+
+def _projection(rho_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """project_to_physical's state, with the simplex-projected eigenvalues w
+    and the eigenvectors v it was built from."""
     m = np.asarray(rho_raw, dtype=complex)
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     w, v = np.linalg.eigh(m)
     w = _project_simplex(w)
-    out = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return validate_density(out)
+    return validate_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)), w, v
 
 
 def reconstruct(table: CountsTable) -> np.ndarray:
@@ -66,7 +71,14 @@ def reconstruct(table: CountsTable) -> np.ndarray:
 
 def tomo_concurrence(table: CountsTable) -> float:
     """Concurrence of the reconstructed physical state."""
-    return concurrence(reconstruct(table))
+    return _tomo_concurrence(pauli_vector_from_counts(table))
+
+
+def _tomo_concurrence(t: np.ndarray) -> float | np.ndarray:
+    """Concurrence of project_to_physical(linear_inversion(t)) (a stack t gives
+    an array), from the eigendecomposition the projection made; it agrees with
+    concurrence of the projected state to about 1e-15, not bit for bit."""
+    return _concurrence_from_eigh(*_projection(linear_inversion(t))[1:])
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

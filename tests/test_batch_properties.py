@@ -1,7 +1,10 @@
 """Property tests: a call on a stack of states or tables gives, bit for bit,
 what the same call gives on each member alone. The batched sweeps rely on
 this, down to one concurrence call on the stacked true and tomographic
-states. The examples are derandomized, so every run draws the same ones."""
+states. Shortcuts are checked against the longer computation they replace:
+the k projection against its complex trace, bit for bit, and the
+tomographic concurrence against the concurrence of the projected state.
+The examples are derandomized, so every run draws the same ones."""
 
 import numpy as np
 import pytest
@@ -12,7 +15,14 @@ st = pytest.importorskip("hypothesis.strategies")
 from entquant import FULL_SETTINGS, KMODE_SETTINGS, concurrence, linear_inversion, project_to_physical  # noqa: E402
 from entquant.algebra import pure_to_density, random_density, random_pure  # noqa: E402
 from entquant.counts import _delta, _pauli_matrix  # noqa: E402
-from entquant.measures import _g_terms, pauli_expectation_matrix  # noqa: E402
+from entquant.measures import (  # noqa: E402
+    _PAULI_TENSOR,
+    _g_terms,
+    _k_projection,
+    _k_projectors,
+    pauli_expectation_matrix,
+)
+from entquant.tomography import _tomo_concurrence  # noqa: E402
 
 SETTINGS = hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -28,6 +38,11 @@ stacks = st.lists(members, min_size=1, max_size=12).map(np.stack)
 def assert_members_equal(batched, single):
     for i, want in enumerate(single):
         assert np.array_equal(batched[i], want, equal_nan=True), i
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # tells -0.0 from 0.0
 
 
 @SETTINGS
@@ -74,3 +89,39 @@ def test_estimates_and_error_bars(spec):
         assert np.array_equal(t[i], ti) and np.array_equal(inv[i], invi)
         assert np.array_equal(g[i], g1)
         assert np.array_equal(dg[i], _delta(gi, invi, grad1, exact))
+
+
+#: Schmidt coefficients: (cos 2t, sin 2t) as sweep-k makes them, any
+#: normalized pair, the pairs where a term is exactly 0, and one where ab/2
+#: underflows to a signed zero.
+schmidt_pairs = st.one_of(
+    st.floats(0.0, np.pi / 4).map(lambda t: (np.cos(2 * t), np.sin(2 * t))),
+    st.floats(0.0, 1.0).map(lambda a: (a, np.sqrt(1.0 - a * a))),
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5)), (5e-324, 1.0)]),
+)
+
+
+def complex_k_projection(a, b):
+    return np.einsum("eij,...mji->...me", _PAULI_TENSOR, _k_projectors(a, b)).real / 4.0
+
+
+@SETTINGS
+@hypothesis.given(st.lists(schmidt_pairs, min_size=1, max_size=12))
+def test_k_projection(pairs):
+    a, b = np.array(pairs).T
+    for ai, bi in pairs:
+        assert_same_bits(_k_projection(ai, bi), complex_k_projection(ai, bi))
+    assert_same_bits(_k_projection(a[:, None], b[:, None]), complex_k_projection(a[:, None], b[:, None]))
+
+
+@SETTINGS
+@hypothesis.given(stacks, st.integers(0, 2**32), st.sampled_from([0.0, 0.05]))
+@hypothesis.example(np.eye(4, dtype=complex)[None] / 4, 0, 0.0)
+def test_tomographic_concurrence(rhos, seed, scale):
+    noise = np.random.default_rng(seed).normal(scale=scale, size=(len(rhos), 4, 4))
+    noise[:, 0, 0] = 0.0
+    t = pauli_expectation_matrix(rhos) + noise
+    c = _tomo_concurrence(t)
+    assert_members_equal(c, [_tomo_concurrence(ti) for ti in t])
+    want = [concurrence(project_to_physical(linear_inversion(ti))) for ti in t]
+    np.testing.assert_allclose(c, want, rtol=0.0, atol=1e-12)

@@ -35,6 +35,7 @@ from entquant import (
     tomo_concurrence,
     tomography,
     waveplate_unitary,
+    write_counts_csv,
 )
 
 BLOCK1 = data_file("tableII_block1.csv")
@@ -82,22 +83,39 @@ class TestAnalyze:
         report = run_json("analyze", BLOCK1, "--tomo")
         assert 0.9 < report["tomo_concurrence"] < 1.0
 
-    def test_tomo_estimates_t_once(self, monkeypatch, capsys):
-        calls = []
+    def test_tomo_estimates_t_once(self, monkeypatch, capsys, tmp_path):
+        """g, k and the tomographic state all read one estimate of the table,
+        and each section equals its library function bit for bit."""
+        rho = pure_to_density(prepare_parallel(math.radians(20.0)))
+        paths = [BLOCK1, BLOCK2]
+        for name, cfg in (("exact", SimConfig(5000.0)), ("poisson", SimConfig(50.0, "poisson", 3))):
+            paths.append(str(tmp_path / f"{name}.csv"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(write_counts_csv(simulate_counts(rho, FULL_SETTINGS, cfg)))
         original = counts._estimate
+        for path in paths:
+            calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args):
+                calls.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(counts, "_estimate", counting)
-        monkeypatch.setattr(tomography, "_estimate", counting)
-        assert cli.main(["analyze", BLOCK1, "--tomo"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
-        with open(BLOCK1, encoding="utf-8") as fh:
-            table = parse_counts_csv(fh.read())
-        assert report["tomo_concurrence"] == tomo_concurrence(table)
+            with monkeypatch.context() as patch:
+                patch.setattr(counts, "_estimate", counting)
+                patch.setattr(tomography, "_estimate", counting)
+                assert cli.main(["analyze", path, "--tomo", "--theta", "22.5"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert len(calls) == 1, path
+            with open(path, encoding="utf-8") as fh:
+                table = parse_counts_csv(fh.read())
+            res = g_from_counts(table)
+            assert (report["g"], report["delta_g"]) == (res.g, res.delta_g)
+            assert report["tomo_concurrence"] == tomo_concurrence(table)
+            kres = k_from_counts(table, cli._schmidt_from_theta(22.5))
+            assert report["k"]["value"] == kres.k, path
+            assert report["k"]["expectations"] == list(kres.expectations), path
+            assert report["k"]["delta_k"] == kres.delta_k, path
+            assert (kres.delta_k == 0.0) == (path == paths[2])
 
     def test_non_finite_report_exits_2_and_writes_nothing(self, monkeypatch, capsys, tmp_path):
         original = cli.g_from_counts

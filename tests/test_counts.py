@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from itertools import product
@@ -522,8 +523,8 @@ class TestJointExpectation:
 
     def test_missing_setting_named(self, singlet):
         table = exact_table(singlet)
-        del table.counts[Setting(D, A)]
-        with pytest.raises(MissingSetting, match="D,A"):
+        del table.counts[Setting(D, A)], table.counts[Setting(A, A)]
+        with pytest.raises(MissingSetting, match="D,A"):  # the first missing in the group's order
             joint_expectation(table, 1, 1)
 
 
@@ -729,6 +730,12 @@ class TestCountsTableValidation:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             CountsTable(counts={Setting(H, H): n})
 
+    def test_replaced_counts_of_a_parsed_table_are_checked(self, block1):
+        # parse_counts_csv checks each row itself, so its table skips the check
+        # that a copy with new counts must still make
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            dataclasses.replace(block1, counts={Setting(H, H): -1.0})
+
 
 def dense_jacobian_reference(table, settings):
     """n (36,), t (4, 4) and dt/dn (16, 36) of the group-normalized estimator,
@@ -781,6 +788,8 @@ class TestGroupTensorMatchesDenseJacobian:
         assert res.k == k
         assert res.expectations == tuple(m.tolist())
         assert res.delta_k == pytest.approx(dense_sigma(n, jac, grad), rel=1e-12)
+        if table.counts.keys() >= set(FULL_SETTINGS):  # k on the full estimate that g was made from
+            assert k_from_counts(table, s, g_from_counts(table)) == res
 
     @pytest.mark.parametrize("name", ["tableII_block1.csv", "tableII_block2.csv"])
     def test_fixtures(self, name):
