@@ -37,18 +37,19 @@ def pauli_operator(i: int) -> np.ndarray:
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b in the fixed |HH>,|HV>,|VH>,|VV> basis order."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product a (x) b in the fixed |HH>,|HV>,|VH>,|VV> basis order:
+    np.kron's one broadcast product, for a and b with equal ndim. A stack of
+    kets (k, 2) or operators (k, 2, 2) with itself gives all k*k products."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        raise ValueError(f"tensor_product needs operands with equal ndim, got {a.ndim} and {b.ndim}")
+    prod = a[(slice(None), None) * a.ndim] * b[(None, slice(None)) * b.ndim]
+    return prod.reshape([m * n for m, n in zip(a.shape, b.shape)])
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def expectation_value(rho: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> float:
@@ -79,9 +80,11 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """(u_a (x) u_b) rho (u_a (x) u_b)^dagger."""
-    for name, u in (("u_a", u_a), ("u_b", u_b)):
-        if not is_unitary(u, 1e-10):
+    """(u_a (x) u_b) rho (u_a (x) u_b)^dagger, for 2x2 unitaries u_a, u_b."""
+    arms = np.array([u_a, u_b])  # both arms' u^dagger u - I in one stacked product
+    dev = np.abs(arms.conj().swapaxes(-1, -2) @ arms - _PAULI[0]).max(axis=(-2, -1)).tolist()
+    for name, d in zip(("u_a", "u_b"), dev):
+        if not d <= 1e-10:  # written so that NaN fails too
             raise NonUnitary(f"{name} is not unitary within 1e-10")
     u = tensor_product(u_a, u_b)
     return u @ np.asarray(rho) @ u.conj().T

@@ -61,6 +61,7 @@ _NAMED_STATES = {
     "VV": np.array([0, 0, 0, 1], dtype=complex),
 }
 _PREPARE = {"parallel": prepare_parallel, "antiparallel": prepare_antiparallel}
+_EYE2 = np.eye(2, dtype=complex)  # an arm without plates; never written to
 
 
 def _read_table(path: str) -> CountsTable:
@@ -106,11 +107,12 @@ def _parse_waveplate(text: str, kind: str) -> tuple[str, WaveplateSpec]:
     try:
         arm, deg_text = text.split(":", 1)
         arm = arm.strip().lower()
-        if arm not in ("a", "b"):
+        deg = float(deg_text)
+        if arm not in ("a", "b") or not math.isfinite(deg):
             raise ValueError
-        return arm, WaveplateSpec(kind=kind, angle=math.radians(float(deg_text)))
+        return arm, WaveplateSpec(kind=kind, angle=math.radians(deg))
     except (ValueError, TypeError):
-        raise ValueError(f"--{kind.lower()} expects <arm>:<deg> with arm a|b, got {text!r}") from None
+        raise ValueError(f"--{kind.lower()} expects <arm>:<deg> with arm a|b and a finite angle, got {text!r}") from None
 
 
 def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
@@ -119,7 +121,7 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
     plates += [_parse_waveplate(t, "QWP") for t in args.qwp or []]
     if not plates:
         return None
-    units = {"a": np.eye(2, dtype=complex), "b": np.eye(2, dtype=complex)}
+    units = {"a": _EYE2, "b": _EYE2}
     for arm, spec in plates:
         units[arm] = waveplate_unitary(spec) @ units[arm]
     return units["a"], units["b"]
@@ -130,6 +132,8 @@ def _prepared_density(args, theta, arms=None) -> np.ndarray:
     --damp when given, then through the arm unitaries when given."""
     if args.family is None or theta is None:
         raise ValueError("a state spec requires --family and --theta")
+    if isinstance(theta, float) and not math.isfinite(theta):  # a --theta flag; the sweep grids are checked
+        raise ValueError(f"--theta must be finite, got {theta!r}")
     rho = pure_to_density(_PREPARE[args.family](np.radians(theta)))
     if args.damp:
         rho = phase_damping(rho, _parse_damp(args.damp))

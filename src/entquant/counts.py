@@ -41,10 +41,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import validate_density
+from .algebra import pure_to_density, tensor_product, validate_density
 from .errors import DuplicateSetting, MissingSetting, ParseError
 from .measures import GResult, KResult, SchmidtCoeffs, _g_terms, _k_terms, k_separable_bound
-from .optics import PAULI_EIGENBASIS, BasisLabel, joint_projector
+from .optics import PAULI_EIGENBASIS, BasisLabel
 
 
 class Setting(NamedTuple):
@@ -69,8 +69,9 @@ _ORDINAL = {s: n for n, s in enumerate(FULL_SETTINGS)}
 #: setting (a, b) is FULL_SETTINGS[6 * index(a) + index(b)]; each setting's "a,b," row prefix.
 _LABEL_INDEX = {t: _LABEL_ORDER.index(BasisLabel.parse(t)) for t in "HVDARLhvdarl+-"}
 _ROW_PREFIX = tuple(f"{s.a},{s.b}," for s in FULL_SETTINGS)
-#: The joint projector |a b><a b| of every setting, in canonical order.
-_PROJECTORS = np.stack([joint_projector(s.a, s.b) for s in FULL_SETTINGS])
+#: The joint projector |a b><a b| of every setting, in canonical order (6 * index(a) + index(b)).
+_LABEL_KETS = np.array([x.ket for x in _LABEL_ORDER])
+_PROJECTORS = pure_to_density(tensor_product(_LABEL_KETS, _LABEL_KETS))
 #: The largest mean numpy's Generator.poisson accepts, computed as numpy does.
 _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 

@@ -27,10 +27,9 @@ from .algebra import (
 from .errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
 
 # sigma_i (x) sigma_j for i, j in 0..3, stacked for one-shot expectation sweeps
-_PAULI_TENSOR = np.stack(
-    [tensor_product(pauli_operator(i), pauli_operator(j)) for i in range(4) for j in range(4)]
-)
-_SIGMA_YY = tensor_product(pauli_operator(2), pauli_operator(2))
+_PAULIS = np.array([pauli_operator(i) for i in range(4)])
+_PAULI_TENSOR = tensor_product(_PAULIS, _PAULIS)
+_SIGMA_YY = _PAULI_TENSOR[4 * 2 + 2]
 
 
 def pauli_expectation_matrix(rho: np.ndarray) -> np.ndarray:

@@ -74,16 +74,18 @@ PAULI_EIGENBASIS = {
 def prepare_parallel(theta) -> np.ndarray:
     """cos(2 theta)|HH> + sin(2 theta)|VV>, the pump-angle-parameterized family.
     An array of angles gives a stack of state vectors."""
-    c, s = np.cos(2 * np.asarray(theta)), np.sin(2 * np.asarray(theta))
-    z = np.zeros_like(c)
-    return np.stack([c, z, z, s], axis=-1).astype(complex)
+    t = 2 * np.asarray(theta)
+    psi = np.zeros(t.shape + (4,), dtype=complex)
+    psi[..., 0], psi[..., 3] = np.cos(t), np.sin(t)
+    return psi
 
 
 def prepare_antiparallel(theta) -> np.ndarray:
     """cos(2 theta)|HV> - sin(2 theta)|VH>; an array of angles gives a stack."""
-    c, s = np.cos(2 * np.asarray(theta)), np.sin(2 * np.asarray(theta))
-    z = np.zeros_like(c)
-    return np.stack([z, c, -s, z], axis=-1).astype(complex)
+    t = 2 * np.asarray(theta)
+    psi = np.zeros(t.shape + (4,), dtype=complex)
+    psi[..., 1], psi[..., 2] = np.cos(t), -np.sin(t)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,10 @@ def waveplate_unitary(w: WaveplateSpec) -> np.ndarray:
     return np.array([[c * c + 1j * s * s, off], [off, s * s + 1j * c * c]], dtype=complex)
 
 
+#: Identity and the dephasing Pauli of each ChannelSpec basis, stacked (2, 2, 2).
+_DEPHASING_PAULIS = {b: np.array([pauli_operator(0), pauli_operator(i)]) for b, i in (("x", 1), ("z", 3))}
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Phase-damping channel acting identically on both arms.
@@ -134,24 +140,20 @@ class ChannelSpec:
             raise ValueError(f"damping probability must be in [0, 1], got {self.p!r}")
         object.__setattr__(self, "basis", self.basis.lower())
 
-    def local_kraus(self) -> list[np.ndarray]:
-        sigma = {"x": 1, "z": 3}[self.basis]
-        return [
-            np.sqrt(1.0 - self.p) * np.eye(2, dtype=complex),
-            np.sqrt(self.p) * pauli_operator(sigma),
-        ]
+    def local_kraus(self) -> np.ndarray:
+        """The two local Kraus operators, stacked (2, 2, 2)."""
+        return np.sqrt([1.0 - self.p, self.p])[:, None, None] * _DEPHASING_PAULIS[self.basis]
 
 
 def phase_damping(rho: np.ndarray, chan: ChannelSpec) -> np.ndarray:
-    """Apply the two-arm phase-damping channel: all four joint Kraus terms.
-    A stack of states (..., 4, 4) is damped state by state."""
+    """Apply the two-arm phase-damping channel: all four joint Kraus terms
+    k_a (x) k_b, stacked (4, 4, 4), in one product, summed from zero in the
+    order (a, b) = (0, 0), (0, 1), (1, 0), (1, 1). A stack of states
+    (..., 4, 4) is damped state by state."""
     local = chan.local_kraus()
-    out = np.zeros(np.shape(rho), dtype=complex)
-    for ka in local:
-        for kb in local:
-            k = tensor_product(ka, kb)
-            out += k @ np.asarray(rho) @ k.conj().T
-    return out
+    k = tensor_product(local, local)
+    terms = k @ np.asarray(rho)[..., None, :, :] @ k.conj().swapaxes(-1, -2)
+    return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
 def basis_projector(x: BasisLabel) -> np.ndarray:
@@ -162,4 +164,4 @@ def basis_projector(x: BasisLabel) -> np.ndarray:
 
 def joint_projector(a: BasisLabel, b: BasisLabel) -> np.ndarray:
     """Projector onto the two-photon product state |a b>."""
-    return pure_to_density(np.kron(a.ket, b.ket))
+    return pure_to_density(tensor_product(a.ket, b.ket))
