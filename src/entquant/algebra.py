@@ -98,6 +98,13 @@ def validate_density(m: np.ndarray, tol: float = 1e-10, eig_tol: float = 1e-8) -
     eig_tol is the floor for eigenvalue negativity. A stack (..., d, d) is
     checked matrix by matrix, and the worst violation is named.
     """
+    return _validate_density(m, None, tol, eig_tol)
+
+
+def _validate_density(m: np.ndarray, w: np.ndarray | None, tol: float = 1e-10, eig_tol: float = 1e-8) -> np.ndarray:
+    """validate_density, whose eigenvalue check reads w when the spectrum of
+    m is known (for a matrix rebuilt from its eigendecomposition) and
+    solves for it when w is None."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=complex)
@@ -108,7 +115,7 @@ def validate_density(m: np.ndarray, tol: float = 1e-10, eig_tol: float = 1e-8) -
     trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if trace_dev > tol:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.1e})")
-    min_eig = float(np.linalg.eigvalsh((m + adj) / 2).min())
+    min_eig = float((np.linalg.eigvalsh((m + adj) / 2) if w is None else w).min())
     if min_eig < -eig_tol:
         raise NegativeEigenvalue(f"minimum eigenvalue {min_eig:.3e} below -{eig_tol:.1e}")
     return m

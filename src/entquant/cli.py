@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import optics
 from .algebra import apply_local_unitary, pure_to_density
 from .counts import (
     FULL_SETTINGS,
@@ -32,6 +33,7 @@ from .counts import (
 from .errors import MissingSetting, ParseError
 from .measures import (
     SchmidtCoeffs,
+    _concurrence_from_eigh,
     _g_terms,
     _k_terms,
     concurrence,
@@ -39,15 +41,8 @@ from .measures import (
     g_measure,
     k_separable_bound,
 )
-from .optics import (
-    ChannelSpec,
-    WaveplateSpec,
-    phase_damping,
-    prepare_antiparallel,
-    prepare_parallel,
-    waveplate_unitary,
-)
-from .tomography import _tomo_concurrence, fidelity, linear_inversion, project_to_physical, reconstruct
+from .optics import ChannelSpec, WaveplateSpec, phase_damping, waveplate_unitary
+from .tomography import _fidelity_from_sqrts, _psd_sqrt, _reconstruction, _sqrt_from_eigh, _tomo_concurrence
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
@@ -60,8 +55,13 @@ _NAMED_STATES = {
     "VH": np.array([0, 0, 1, 0], dtype=complex),
     "VV": np.array([0, 0, 0, 1], dtype=complex),
 }
-_PREPARE = {"parallel": prepare_parallel, "antiparallel": prepare_antiparallel}
+_FAMILIES = ("parallel", "antiparallel")
 _EYE2 = np.eye(2, dtype=complex)  # an arm without plates; never written to
+
+
+def _prepare(family: str, theta_rad):
+    """optics.prepare_<family>(theta_rad), looked up on optics at each call."""
+    return getattr(optics, f"prepare_{family}")(theta_rad)
 
 
 def _read_table(path: str) -> CountsTable:
@@ -134,7 +134,7 @@ def _prepared_density(args, theta, arms=None) -> np.ndarray:
         raise ValueError("a state spec requires --family and --theta")
     if isinstance(theta, float) and not math.isfinite(theta):  # a --theta flag; the sweep grids are checked
         raise ValueError(f"--theta must be finite, got {theta!r}")
-    rho = pure_to_density(_PREPARE[args.family](np.radians(theta)))
+    rho = pure_to_density(_prepare(args.family, np.radians(theta)))
     if args.damp:
         rho = phase_damping(rho, _parse_damp(args.damp))
     return rho if arms is None else apply_local_unitary(rho, *arms)
@@ -222,8 +222,7 @@ def _cmd_sweep_g(args) -> int:
     t, groups, inv, bad = _sweep_pauli_matrix(n, FULL_SETTINGS, lambda b: f"theta {grid[b]:.12g}")
     g, _, grad = _g_terms(t)
     delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
-    c_true, c_tomo = concurrence(np.stack([rhos, project_to_physical(linear_inversion(t))]))
-    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), c_true, c_tomo])
+    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), concurrence(rhos), _tomo_concurrence(t)])
     rows[bad, 1:4] = rows[bad, 5] = np.nan
     _write_output(_csv("theta_deg,g,delta_g,c_from_g,c_true,c_tomo", rows), args.out)
     return 0
@@ -234,7 +233,7 @@ def _cmd_sweep_k(args) -> int:
     cfg = SimConfig(args.n, args.noise, args.seed)
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
     fixed = np.broadcast_to([_NAMED_STATES["HH"], _NAMED_STATES["VH"]], (len(grid), 2, 4))
-    kets = np.concatenate([_PREPARE[args.family](np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
+    kets = np.concatenate([_prepare(args.family, np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
     n = _simulate(pure_to_density(kets), KMODE_SETTINGS, cfg)
     t, _, _, bad = _sweep_pauli_matrix(n, KMODE_SETTINGS, lambda b, s: f"theta {grid[b]:.12g}, k{s} state")
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
@@ -282,24 +281,27 @@ def _cmd_ilut_check(args) -> int:
     return 0
 
 
-def _resolve_reference(text: str) -> np.ndarray:
+def _reference_sqrt(text: str) -> np.ndarray:
+    """sqrt of the --reference state: a named state, or the state that a
+    counts file reconstructs to, from its projection's eigendecomposition."""
     if text in _NAMED_STATES:
-        return pure_to_density(_NAMED_STATES[text])
-    return reconstruct(_read_table(text))
+        return _psd_sqrt(pure_to_density(_NAMED_STATES[text]))
+    return _sqrt_from_eigh(*_reconstruction(_read_table(text))[1:])
 
 
 def _cmd_tomo(args) -> int:
+    """The report reads every field from the one eigendecomposition that
+    reconstructs the state."""
     table = _read_table(args.counts_file)
-    rho = reconstruct(table)
-    eigs = np.linalg.eigvalsh(rho)[::-1]
+    _, w, v = _reconstruction(table)
     report = {
-        "eigenvalues": [float(w) for w in eigs],
-        "purity": float(np.trace(rho @ rho).real),
-        "tomo_concurrence": concurrence(rho),
+        "eigenvalues": w[::-1].tolist(),
+        "purity": float(np.sum(w * w)),
+        "tomo_concurrence": _concurrence_from_eigh(w, v),
         "inputs": {"file": args.counts_file, "source": table.source},
     }
     if args.reference is not None:
-        report["fidelity"] = fidelity(rho, _resolve_reference(args.reference))
+        report["fidelity"] = _fidelity_from_sqrts(_sqrt_from_eigh(w, v), _reference_sqrt(args.reference))
         report["inputs"]["reference"] = args.reference
     if table.seed is not None:
         report["inputs"]["seed"] = table.seed
@@ -308,7 +310,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _add_family_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=tuple(_PREPARE), help="prepared state family")
+    p.add_argument("--family", choices=_FAMILIES, help="prepared state family")
 
 
 def _add_optics_flags(p: argparse.ArgumentParser) -> None:

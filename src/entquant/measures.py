@@ -10,6 +10,19 @@ mixed states g acts as a witness bracketed by c^2(c^2+2) <= g <= 2c^2 + 1
 (tested empirically, not asserted). The module also provides the
 local-uncertainty variance sum and the nonlocal variance measure k built
 from four projectors onto a Schmidt-form basis.
+
+The separable bound g <= 1 is proved. Write a separable state as
+rho = sum_k p_k rho_k^A (x) rho_k^B, with Bloch vectors x_k, y_k of mean
+a = sum_k p_k x_k and b = sum_k p_k y_k. Then:
+
+1. C = sum_k p_k (x_k - a)(y_k - b)^T;
+2. for any R with operator norm <= 1, tr(R^T C) <= sum_k p_k |x_k - a| |y_k - b|;
+3. Cauchy-Schwarz bounds that by
+   sqrt(sum_k p_k |x_k|^2 - |a|^2) sqrt(sum_k p_k |y_k|^2 - |b|^2) <= sqrt((1 - |a|^2)(1 - |b|^2));
+4. the maximum of tr(R^T C) over R is the trace norm ||C||_KF.
+
+Hence g = ||C||_F^2 <= ||C||_KF^2 <= (1 - |a|^2)(1 - |b|^2) <= 1. By AM-GM,
+step 3 also gives the degree-2 form tr(R^T C) <= 1 - (|a|^2 + |b|^2) / 2.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from .errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
 _PAULIS = np.array([pauli_operator(i) for i in range(4)])
 _PAULI_TENSOR = tensor_product(_PAULIS, _PAULIS)
 _SIGMA_YY = _PAULI_TENSOR[4 * 2 + 2]
+_YY_SIGNS = np.diagonal(_SIGMA_YY[:, ::-1]).real[:, None]  # YY m = _YY_SIGNS * m[::-1] for any 4-row m
 
 
 def pauli_expectation_matrix(rho: np.ndarray) -> np.ndarray:
@@ -93,9 +107,12 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
     The l_k are the descending square roots of the eigenvalues of
     rho (YY) rho* (YY). They are computed here as the singular values of
-    sqrt(rho) (YY) sqrt(rho)*, which is exact at rank deficiency where the
-    non-normal product's eigensolve loses half its digits. A stack of
-    states (..., 4, 4) gives an array of concurrences.
+    Wootters' tau = D (v^dag YY v*) D, where rho = v diag(w) v^dag and
+    D = diag(sqrt(w)) (PRL 80, 2245). Those are the singular values of
+    sqrt(rho) (YY) sqrt(rho)* = v tau v^T, which is exact at rank deficiency
+    where the non-normal product's eigensolve loses half its digits: a zero
+    eigenvalue zeroes its row and column of tau. A stack of states
+    (..., 4, 4) gives an array of concurrences.
     """
     rho = np.asarray(rho, dtype=complex)
     return _concurrence_from_eigh(*np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2))
@@ -103,10 +120,11 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """concurrence of the state (or stack) v diag(w) v^dag, from its
-    eigenvalues w and eigenvectors v; sqrt(rho) = v diag(sqrt(w)) v^dag."""
-    sq = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    m = sq @ _SIGMA_YY @ sq.conj()
-    s = np.linalg.svd(m, compute_uv=False)
+    eigenvalues w and eigenvectors v, through concurrence's tau form."""
+    d = np.sqrt(np.maximum(w, 0.0))
+    vc = v.conj()
+    tau = d[..., :, None] * (vc.swapaxes(-1, -2) @ (_YY_SIGNS * vc[..., ::-1, :])) * d[..., None, :]
+    s = np.linalg.svd(tau, compute_uv=False)
     c = np.minimum(np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0), 1.0)
     return c if c.ndim else float(c)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import validate_density
+from .algebra import _validate_density
 from .counts import FULL_SETTINGS, CountsTable, _estimate
 from .measures import _PAULI_TENSOR, _concurrence_from_eigh
 
@@ -56,17 +56,25 @@ def project_to_physical(rho_raw: np.ndarray) -> np.ndarray:
 
 def _projection(rho_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """project_to_physical's state, with the simplex-projected eigenvalues w
-    and the eigenvectors v it was built from."""
+    (ascending, as eigh orders them) and the eigenvectors v it was built
+    from. The state is checked for Hermiticity and trace; its eigenvalue
+    check reads w, the spectrum it was built with."""
     m = np.asarray(rho_raw, dtype=complex)
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     w, v = np.linalg.eigh(m)
     w = _project_simplex(w)
-    return validate_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)), w, v
+    return _validate_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), w), w, v
 
 
 def reconstruct(table: CountsTable) -> np.ndarray:
     """Full pipeline: counts -> Pauli expectations -> inversion -> projection."""
-    return project_to_physical(linear_inversion(pauli_vector_from_counts(table)))
+    return _reconstruction(table)[0]
+
+
+def _reconstruction(table: CountsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """reconstruct's state, with the spectrum w and eigenvectors v that its
+    projection built it from (see _projection)."""
+    return _projection(linear_inversion(pauli_vector_from_counts(table)))
 
 
 def tomo_concurrence(table: CountsTable) -> float:
@@ -82,7 +90,11 @@ def _tomo_concurrence(t: np.ndarray) -> float | np.ndarray:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
+    return _sqrt_from_eigh(*np.linalg.eigh(np.asarray(m, dtype=complex)))
+
+
+def _sqrt_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sqrt of the PSD matrix v diag(w) v^dag, w ascending."""
     w = np.clip(w, 0.0, None)
     if w[-1] > 0:
         # eigenvalue noise ~1e-16 turns into ~1e-8 after the square root;
@@ -98,8 +110,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sqrt(rho) sqrt(sigma), which is the same quantity without an eigensolve
     of a nearly singular product.
     """
-    a = _psd_sqrt(np.asarray(rho, dtype=complex)) @ _psd_sqrt(np.asarray(sigma, dtype=complex))
-    return float(np.linalg.svd(a, compute_uv=False).sum() ** 2)
+    return _fidelity_from_sqrts(_psd_sqrt(rho), _psd_sqrt(sigma))
+
+
+def _fidelity_from_sqrts(sqrt_rho: np.ndarray, sqrt_sigma: np.ndarray) -> float:
+    """fidelity from the square roots of its two states."""
+    return float(np.linalg.svd(sqrt_rho @ sqrt_sigma, compute_uv=False).sum() ** 2)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from entquant import (
     tensor_product,
     validate_density,
 )
+from entquant.algebra import _validate_density
 from entquant.errors import (
     BadTrace,
     NegativeEigenvalue,
@@ -172,6 +173,34 @@ class TestValidateDensity:
         validate_density(np.stack([good, good]))
         with pytest.raises(error):
             validate_density(np.stack([good, bad.astype(complex), good]))
+
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (np.diag([1.1, -0.1, 0, 0]), NegativeEigenvalue),
+            (np.diag([0.6, 0.6, 0, 0]), BadTrace),
+            (np.diag([0.5, 0.5, 0, 0]) + 1e-3 * np.eye(4, k=1), NotHermitian),
+            (np.stack([np.eye(4) / 4, np.diag([0.7, 0.4, -0.05, -0.05])]), NegativeEigenvalue),
+        ],
+    )
+    def test_known_spectrum_raises_the_same_errors(self, bad, error):
+        """With the spectrum given, the eigenvalue check reads it instead of
+        solving, and each violation is raised with validate_density's message."""
+        bad = bad.astype(complex)
+        w = np.linalg.eigvalsh((bad + bad.conj().swapaxes(-1, -2)) / 2)
+        with pytest.raises(error) as solved:
+            validate_density(bad)
+        with pytest.raises(error) as known:
+            _validate_density(bad, w)
+        assert str(known.value) == str(solved.value)
+
+    def test_eigenvalue_check_reads_the_given_spectrum(self):
+        good = np.eye(4, dtype=complex) / 4
+        assert _validate_density(good, np.full(4, 0.25)) is good
+        with pytest.raises(NegativeEigenvalue, match=r"^minimum eigenvalue -2\.000e-08 below -1\.0e-08$"):
+            _validate_density(good, np.array([-2e-8, 0.25, 0.25, 0.5]))
+        _validate_density(good, np.array([-2e-8, 0.25, 0.25, 0.5]), eig_tol=1e-7)
 
 
 class TestRandomStates:

@@ -1,7 +1,6 @@
 """Property tests: a call on a stack of states or tables gives, bit for bit,
 what the same call gives on each member alone. The batched sweeps rely on
-this, down to one concurrence call on the stacked true and tomographic
-states. Shortcuts are checked against the longer computation they replace:
+this. Shortcuts are checked against the longer computation they replace:
 the k projection against its complex trace, bit for bit, and the
 tomographic concurrence against the concurrence of the projected state.
 The examples are derandomized, so every run draws the same ones."""
@@ -22,7 +21,7 @@ from entquant.measures import (  # noqa: E402
     _k_projectors,
     pauli_expectation_matrix,
 )
-from entquant.tomography import _tomo_concurrence  # noqa: E402
+from entquant.tomography import _projection, _tomo_concurrence  # noqa: E402
 
 SETTINGS = hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -49,7 +48,7 @@ def assert_same_bits(got, want):
 @hypothesis.given(stacks)
 def test_concurrence(rhos):
     assert_members_equal(concurrence(rhos), [concurrence(rho) for rho in rhos])
-    pair = concurrence(np.stack([rhos, rhos[::-1]]))  # the (2, B) stack a sweep takes
+    pair = concurrence(np.stack([rhos, rhos[::-1]]))  # a stack of two leading axes
     assert_members_equal(pair[1], [concurrence(rho) for rho in rhos[::-1]])
 
 
@@ -61,6 +60,10 @@ def test_tomography(rhos, seed):
     t = pauli_expectation_matrix(rhos) + noise  # unphysical, as noisy counts make it
     batched = project_to_physical(linear_inversion(t))
     assert_members_equal(batched, [project_to_physical(linear_inversion(ti)) for ti in t])
+    rho, w, v = _projection(linear_inversion(t))
+    assert np.array_equal(rho, batched)
+    # the state's eigenvalue check reads w.min() in place of an eigensolve of the state
+    np.testing.assert_allclose(w.min(axis=-1), np.linalg.eigvalsh(rho).min(axis=-1), rtol=0.0, atol=1e-14)
 
 
 tables = st.tuples(

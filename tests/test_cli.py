@@ -21,16 +21,17 @@ from entquant import (
     concurrence_from_g,
     counts,
     data_file,
+    fidelity,
     g_from_counts,
     k_from_counts,
     k_separable_bound,
-    linear_inversion,
+    optics,
     parse_counts_csv,
     phase_damping,
     prepare_antiparallel,
     prepare_parallel,
-    project_to_physical,
     pure_to_density,
+    reconstruct,
     simulate_counts,
     tomo_concurrence,
     tomography,
@@ -247,6 +248,22 @@ class TestSimulate:
         proc = run_cli("simulate", "--family", "parallel", "--theta", "10", "--damp", "y:0.5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
+    def test_preparer_is_looked_up_on_optics_per_call(self, monkeypatch, capsys, family):
+        """A patch of optics.prepare_<family> (as a tracer makes) sees one call per simulate."""
+        calls = []
+        original = getattr(optics, f"prepare_{family}")
+
+        def counting(theta):
+            calls.append(theta)
+            return original(theta)
+
+        monkeypatch.setattr(optics, f"prepare_{family}", counting)
+        for done in (1, 2, 3):
+            run_in_process(capsys, "simulate", "--family", family, "--theta", str(10.0 * done))
+            assert len(calls) == done
+        assert calls == [math.radians(10.0 * done) for done in (1, 2, 3)]
+
 
 class TestSweepG:
     def test_exact_sweep_rows(self, tmp_path):
@@ -392,6 +409,27 @@ class TestTomo:
         report = run_json("tomo", BLOCK1, "--reference", BLOCK2)
         assert 0 <= report["fidelity"] <= 1
 
+    @pytest.mark.parametrize("reference", ["singlet", "phi_plus", "HH", BLOCK2])
+    def test_report_matches_the_reconstructed_state(self, capsys, tmp_path, reference):
+        """Every field is read from the projection's eigendecomposition; each
+        equals the same quantity computed from the reconstructed matrix."""
+        sim = tmp_path / "p.csv"
+        run_in_process(capsys, "simulate", "--family", "parallel", "--theta", "20", "--noise", "poisson",
+                       "--n", "50", "--seed", "3", "--out", str(sim))
+        for path in (BLOCK1, str(sim)):
+            report = json.loads(run_in_process(capsys, "tomo", path, "--reference", reference))
+            with open(path, encoding="utf-8") as fh:
+                table = parse_counts_csv(fh.read())
+            rho = reconstruct(table)
+            np.testing.assert_allclose(report["eigenvalues"], np.linalg.eigvalsh(rho)[::-1], rtol=0, atol=1e-14)
+            assert report["eigenvalues"] == sorted(report["eigenvalues"], reverse=True)
+            assert report["purity"] == pytest.approx(np.trace(rho @ rho).real, rel=0, abs=1e-14)
+            assert report["tomo_concurrence"] == tomo_concurrence(table)
+            assert report["tomo_concurrence"] == pytest.approx(concurrence(rho), rel=0, abs=1e-14)
+            sigma = cli._NAMED_STATES.get(reference)
+            sigma = pure_to_density(sigma) if sigma is not None else reconstruct(cli._read_table(reference))
+            assert report["fidelity"] == pytest.approx(fidelity(rho, sigma), rel=0, abs=1e-14)
+
     def test_corrupt_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,counts\nfile,,\n")
@@ -512,7 +550,7 @@ def reference_sweep_g(family, grid, noise, seed, n, damp=None, arms=None):
         except ValueError:  # a read group's total is zero: the sweep writes nan for the estimates
             lines.append(_row((theta, math.nan, math.nan, math.nan, concurrence(rho), math.nan)))
             continue
-        c_tomo = concurrence(project_to_physical(linear_inversion(res.t)))
+        c_tomo = tomo_concurrence(table)
         c_g = concurrence_from_g(min(3.0, max(0.0, res.g)))
         lines.append(_row((theta, res.g, res.delta_g, c_g, concurrence(rho), c_tomo)))
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from entquant import (
     tensor_product,
 )
 from entquant.errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
-from entquant.measures import LurSpec, pauli_lur_spec
+from entquant.measures import LurSpec, pauli_expectation_matrix, pauli_lur_spec
 
 from conftest import random_qubit_density
 
@@ -37,6 +37,22 @@ def concurrence_by_eigensolve(rho: np.ndarray) -> float:
     lam = np.sort(np.abs(lam.real))[::-1]
     roots = np.sqrt(lam)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def concurrence_by_sqrt_product(rho: np.ndarray) -> float:
+    """The sqrt(rho) YY sqrt(rho)* form that concurrence used before its tau
+    form: three 4x4 products and their singular values."""
+    w, v = np.linalg.eigh(rho)
+    sq = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    s = np.linalg.svd(sq @ np.kron(pauli_operator(2), pauli_operator(2)) @ sq.conj(), compute_uv=False)
+    return min(max(s[0] - s[1] - s[2] - s[3], 0.0), 1.0)
+
+
+def hs_density_of_rank(rng: np.random.Generator, rank: int) -> np.ndarray:
+    """G G^dag / tr for a 4 x rank Ginibre G: Hilbert-Schmidt random of the given rank."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
 
 
 class TestCovariance:
@@ -110,6 +126,32 @@ class TestGMeasure:
             res = g_measure(random_density(rng))
             assert res.g == pytest.approx(np.sum(res.covariance**2), abs=1e-12)
 
+    def test_separable_bound_chain(self):
+        """The module docstring's proof, step by step, on mixtures of 1-6
+        product states (pure or mixed factors): g <= ||C||_KF^2 <=
+        (1 - |a|^2)(1 - |b|^2) <= 1, and the degree-2 form at R = U V^T."""
+        rng = np.random.default_rng(44)
+
+        def factor(pure):
+            if not pure:
+                return random_qubit_density(rng)
+            ket = rng.normal(size=2) + 1j * rng.normal(size=2)  # a Bloch vector on the sphere
+            return pure_to_density(ket / np.linalg.norm(ket))
+
+        for _ in range(2000):
+            k, pure = rng.integers(1, 7), rng.random() < 0.5
+            p = rng.dirichlet(np.ones(k))
+            rho = sum(pk * tensor_product(factor(pure), factor(pure)) for pk in p)
+            t = pauli_expectation_matrix(rho)
+            a, b = t[1:, 0], t[0, 1:]
+            res = g_measure(rho)
+            u, sv, vh = np.linalg.svd(res.covariance)
+            budget = (1 - a @ a) * (1 - b @ b)
+            assert res.g <= sv.sum() ** 2 + 1e-12
+            assert sv.sum() ** 2 <= budget + 1e-12
+            assert budget <= 1.0 + 1e-12
+            assert np.trace((u @ vh).T @ res.covariance) <= 1 - (a @ a + b @ b) / 2 + 1e-12
+
     def test_range_bounds(self):
         rng = np.random.default_rng(32)
         for _ in range(1000):
@@ -136,6 +178,23 @@ class TestConcurrence:
         for _ in range(300):
             rho = random_density(rng)
             assert concurrence(rho) == pytest.approx(concurrence_by_eigensolve(rho), abs=1e-6)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_tau_form_matches_sqrt_product_on_random_states(self, rank):
+        rng = np.random.default_rng(43 + rank)
+        for _ in range(500):
+            rho = hs_density_of_rank(rng, rank)
+            assert abs(concurrence(rho) - concurrence_by_sqrt_product(rho)) <= 1e-13
+
+    def test_tau_form_matches_sqrt_product_on_named_states(self, singlet, rho_hh, maximally_mixed):
+        rho_vv = pure_to_density(np.array([0, 0, 0, 1], dtype=complex))
+        states = [rho_hh, 0.5 * (rho_hh + rho_vv)]
+        states += [p * singlet + (1 - p) * maximally_mixed for p in np.linspace(0.0, 1.0, 31)]  # Werner
+        for rho in states:
+            assert abs(concurrence(rho) - concurrence_by_sqrt_product(rho)) <= 1e-13
+        stacked = concurrence(np.stack(states))
+        assert stacked[0] == stacked[1] == 0.0
+        np.testing.assert_allclose(stacked[2:], np.maximum(0.0, (3 * np.linspace(0.0, 1.0, 31) - 1) / 2), atol=1e-13)
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(42)
