@@ -15,6 +15,14 @@ from .algebra import _validate_density
 from .counts import FULL_SETTINGS, CountsTable, _estimate
 from .measures import _PAULI_TENSOR, _concurrence_from_eigh
 
+#: linear_inversion's gather. Entry e of the flattened 4x4 matrices
+#: _PAULI_TENSOR[k] = sigma_i (x) sigma_j (k = 4i + j) is nonzero for exactly
+#: four k: _INV_K[:, e] lists them in ascending order, and _INV_PHASE[:, e]
+#: holds their entries, each in {+-1, +-i}.
+_PAULI_ENTRIES = _PAULI_TENSOR.reshape(16, 16).T  # [e, k]
+_INV_K = np.nonzero(_PAULI_ENTRIES)[1].reshape(16, 4).T
+_INV_PHASE = np.take_along_axis(_PAULI_ENTRIES, _INV_K.T, axis=1).T
+
 
 def pauli_vector_from_counts(table: CountsTable) -> np.ndarray:
     """4x4 matrix t[i, j] = <sigma_i (x) sigma_j> estimated from counts.
@@ -31,9 +39,21 @@ def linear_inversion(t: np.ndarray) -> np.ndarray:
     Hermitian with unit trace by construction; eigenvalues may be negative
     when t was estimated from noisy counts. A stack t (..., 4, 4) gives a
     stack of matrices.
+
+    Each entry gathers its four nonzero terms x_m = t_k * phase, k ascending,
+    each product exact, and sums them as (((x0 + x1) + x2) + x3) + 0.0, then
+    divides by 4: the bits of np.einsum("...k,kij->...ij", t, _PAULI_TENSOR) / 4,
+    whose zero terms leave a nonzero sum alone and whose +0 start turns a
+    -0.0 sum into 0.0.
     """
     t = np.asarray(t, dtype=float)
-    return np.einsum("...k,kij->...ij", t.reshape(t.shape[:-2] + (16,)), _PAULI_TENSOR) / 4.0
+    x = t.reshape(t.shape[:-2] + (16,))[..., _INV_K] * _INV_PHASE
+    rho = x[..., 0, :] + x[..., 1, :]
+    rho += x[..., 2, :]
+    rho += x[..., 3, :]
+    rho += 0.0
+    rho /= 4.0
+    return rho.reshape(t.shape)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

@@ -508,6 +508,68 @@ class TestCliContract:
         assert "9.223372006484771e+18" in captured.err
         assert "lam" not in captured.err
 
+    @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
+    @pytest.mark.parametrize("steps", [10_001, 50_000_000, 100_000_000_000])
+    def test_oversized_sweep_grid_exits_2_before_allocating(self, monkeypatch, capsys, verb, steps):
+        def fail(*args, **kwargs):
+            raise AssertionError("the rejected grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", fail)
+        assert cli.main([verb, "--steps", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --steps must be at most 10000, got {steps}\n"
+
+    @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
+    def test_oversized_sweep_grid_leaves_no_traceback(self, verb):
+        proc = run_cli(verb, "--steps", "100000000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --steps must be at most 10000, got 100000000000\n"
+
+    def test_largest_sweep_grid_is_accepted(self):
+        args = cli._PARSER.parse_args(["sweep-g", "--steps", "10000"])
+        assert cli._sweep_grid(args).shape == (10_000,)
+
+    @pytest.fixture(
+        params=[
+            # (bytes that precede the block1 rows, line of the bad byte, the byte, the decoder's reason)
+            (b"\xff\xfe", 1, "0xff", "invalid start byte"),
+            (b"\xef\xbb\xbf# run 2\r\n# \x80\r\n", 2, "0x80", "invalid start byte"),
+            (b"# a\r# b\r\n\n# caf\xe9\n", 4, "0xe9", "invalid continuation byte"),
+        ],
+        ids=["utf16-bom", "utf8-bom-crlf", "cr-lines"],
+    )
+    def non_utf8_table(self, request, tmp_path):
+        """A block1 file with a byte that is not UTF-8, and the error it must give."""
+        head, line, byte, reason = request.param
+        path = tmp_path / "latin.csv"
+        with open(BLOCK1, "rb") as fh:
+            path.write_bytes(head + fh.read())
+        return str(path), f"error: {path}: line {line}: byte {byte} is not UTF-8 ({reason})\n"
+
+    @pytest.mark.parametrize("verb", ["analyze", "tomo", "tomo --reference", "ilut-check"])
+    def test_non_utf8_file_exits_2_naming_file_and_line(self, capsys, non_utf8_table, verb):
+        path, message = non_utf8_table
+        argv = {
+            "analyze": ["analyze", path, "--tomo"],
+            "tomo": ["tomo", path],
+            "tomo --reference": ["tomo", BLOCK1, "--reference", path],
+            "ilut-check": ["ilut-check", BLOCK1, path],
+        }[verb]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_non_utf8_file_leaves_no_traceback(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfebasis_a,basis_b,count\n")
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}: line 1: byte 0xff is not UTF-8 (invalid start byte)\n"
+
     def test_main_does_not_rebuild_the_parser(self, monkeypatch, capsys):
         def fail():
             raise AssertionError("build_parser called by main")
