@@ -34,6 +34,7 @@ from .errors import MissingSetting, ParseError
 from .measures import (
     SchmidtCoeffs,
     _concurrence_from_eigh,
+    _concurrence_of_kets,
     _g_terms,
     _k_terms,
     concurrence,
@@ -42,7 +43,7 @@ from .measures import (
     k_separable_bound,
 )
 from .optics import ChannelSpec, WaveplateSpec, phase_damping, waveplate_unitary
-from .tomography import _fidelity_from_sqrts, _psd_sqrt, _reconstruction, _sqrt_from_eigh, _tomo_concurrence
+from .tomography import _fidelity_from_sqrts, _reconstruction, _sqrt_from_eigh, _tomo_concurrence
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
@@ -67,12 +68,14 @@ def _prepare(family: str, theta_rad):
     return getattr(optics, f"prepare_{family}")(theta_rad)
 
 
-def _read_table(path: str) -> CountsTable:
+def _read_table(path: str, unreadable: str | None = None) -> CountsTable:
+    """The table in the file path; an unreadable file is reported as
+    unreadable says, or as "cannot read <path>"."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"{unreadable or f'cannot read {path}'}: {exc}") from None
     try:
         text = data.decode("utf-8-sig")  # skips the BOM of Excel's "CSV UTF-8"
     except UnicodeDecodeError as exc:
@@ -136,14 +139,20 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
     return units["a"], units["b"]
 
 
-def _prepared_density(args, theta, arms=None) -> np.ndarray:
-    """--family state at theta (a stack for an array of angles), through
-    --damp when given, then through the arm unitaries when given."""
+def _prepared_kets(args, theta) -> np.ndarray:
+    """--family ket at theta (a stack for an array of angles)."""
     if args.family is None or theta is None:
         raise ValueError("a state spec requires --family and --theta")
     if isinstance(theta, float) and not math.isfinite(theta):  # a --theta flag; the sweep grids are checked
         raise ValueError(f"--theta must be finite, got {theta!r}")
-    rho = pure_to_density(_prepare(args.family, np.radians(theta)))
+    return _prepare(args.family, np.radians(theta))
+
+
+def _prepared_density(args, theta, arms=None, kets=None) -> np.ndarray:
+    """--family state at theta (a stack for an array of angles), through
+    --damp when given, then through the arm unitaries when given. kets, when
+    given, are the _prepared_kets(args, theta) that the caller prepared."""
+    rho = pure_to_density(_prepared_kets(args, theta) if kets is None else kets)
     if args.damp:
         rho = phase_damping(rho, _parse_damp(args.damp))
     return rho if arms is None else apply_local_unitary(rho, *arms)
@@ -228,12 +237,16 @@ def _sweep_pauli_matrix(n: np.ndarray, settings, where) -> tuple[np.ndarray, np.
 def _cmd_sweep_g(args) -> int:
     grid = _sweep_grid(args)
     cfg = SimConfig(args.n, args.noise, args.seed)
-    rhos = _prepared_density(args, grid, _arm_unitaries(args))
+    arms = _arm_unitaries(args)
+    kets = _prepared_kets(args, grid)
+    rhos = _prepared_density(args, grid, arms, kets)
+    # undamped states are pure: the kets before the plates give their concurrence
+    c_true = concurrence(rhos) if args.damp else _concurrence_of_kets(kets)
     n = _simulate(rhos, FULL_SETTINGS, cfg)
     t, groups, inv, bad = _sweep_pauli_matrix(n, FULL_SETTINGS, lambda b: f"theta {grid[b]:.12g}")
     g, _, grad = _g_terms(t)
     delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
-    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), concurrence(rhos), _tomo_concurrence(t)])
+    rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), c_true, _tomo_concurrence(t)])
     rows[bad, 1:4] = rows[bad, 5] = np.nan
     _write_output(_csv("theta_deg,g,delta_g,c_from_g,c_true,c_tomo", rows), args.out)
     return 0
@@ -293,11 +306,14 @@ def _cmd_ilut_check(args) -> int:
 
 
 def _reference_sqrt(text: str) -> np.ndarray:
-    """sqrt of the --reference state: a named state, or the state that a
-    counts file reconstructs to, from its projection's eigendecomposition."""
+    """sqrt of the --reference state: a named state, whose projector is its
+    own square root, or the state that a counts file reconstructs to, from
+    its projection's eigendecomposition."""
     if text in _NAMED_STATES:
-        return _psd_sqrt(pure_to_density(_NAMED_STATES[text]))
-    return _sqrt_from_eigh(*_reconstruction(_read_table(text))[1:])
+        return pure_to_density(_NAMED_STATES[text])
+    named = ", ".join(_NAMED_STATES)
+    table = _read_table(text, f"--reference {text} is neither a named state ({named}) nor a readable counts file")
+    return _sqrt_from_eigh(*_reconstruction(table)[1:])
 
 
 def _cmd_tomo(args) -> int:

@@ -129,6 +129,21 @@ def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return c if c.ndim else float(c)
 
 
+def _concurrence_of_kets(psi: np.ndarray) -> float | np.ndarray:
+    """concurrence of the pure state |psi><psi| of a normalized ket psi (4,),
+    or of each ket of a stack (..., 4): |psi^T (YY) psi|, at most 1, with no
+    eigensolve (Hill & Wootters, PRL 78, 5022).
+
+    The value is invariant under local unitaries: u^T sigma_y u = det(u) sigma_y
+    for any 2x2 u, so u_a (x) u_b multiplies psi^T (YY) psi by det u_a det u_b,
+    whose modulus is 1. The kets before a pair of wave plates therefore give
+    the concurrence of the plated state.
+    """
+    psi = np.asarray(psi)
+    c = np.minimum(np.abs(np.sum(psi * (_YY_SIGNS[:, 0] * psi[..., ::-1]), axis=-1)), 1.0)
+    return c if c.ndim else float(c)
+
+
 def g_from_concurrence(c: float) -> float:
     """Pure-state map g = c^2 (c^2 + 2)."""
     if not -1e-12 <= c <= 1.0 + 1e-12:

@@ -38,6 +38,7 @@ from entquant import (
     waveplate_unitary,
     write_counts_csv,
 )
+from entquant.measures import _concurrence_of_kets
 
 BLOCK1 = data_file("tableII_block1.csv")
 BLOCK2 = data_file("tableII_block2.csv")
@@ -435,6 +436,16 @@ class TestTomo:
         bad.write_text("not,a,counts\nfile,,\n")
         assert run_cli("tomo", str(bad)).returncode == 2
 
+    def test_unknown_reference_names_the_named_states(self, capsys, tmp_path):
+        missing = str(tmp_path / "nosuch")
+        assert cli.main(["tomo", BLOCK1, "--reference", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --reference {missing} is neither a named state (singlet, psi_plus, phi_plus, phi_minus, "
+            f"HH, HV, VH, VV) nor a readable counts file: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+
 
 class TestCliContract:
     def test_unknown_command_exits_2(self):
@@ -601,20 +612,23 @@ def reference_sweep_g(family, grid, noise, seed, n, damp=None, arms=None):
     prep = prepare_parallel if family == "parallel" else prepare_antiparallel
     lines = ["theta_deg,g,delta_g,c_from_g,c_true,c_tomo"]
     for idx, theta in enumerate(grid):
-        rho = pure_to_density(prep(math.radians(float(theta))))
+        ket = prep(math.radians(float(theta)))
+        rho = pure_to_density(ket)
         if damp is not None:
             rho = phase_damping(rho, damp)
         if arms is not None:
             rho = apply_local_unitary(rho, *arms)
+        # an undamped state is pure: its c_true is read from the ket before the plates
+        c_true = concurrence(rho) if damp is not None else _concurrence_of_kets(ket)
         table = simulate_counts(rho, FULL_SETTINGS, SimConfig(n, noise, _point_seed(seed, idx)))
         try:
             res = g_from_counts(table)
         except ValueError:  # a read group's total is zero: the sweep writes nan for the estimates
-            lines.append(_row((theta, math.nan, math.nan, math.nan, concurrence(rho), math.nan)))
+            lines.append(_row((theta, math.nan, math.nan, math.nan, c_true, math.nan)))
             continue
         c_tomo = tomo_concurrence(table)
         c_g = concurrence_from_g(min(3.0, max(0.0, res.g)))
-        lines.append(_row((theta, res.g, res.delta_g, c_g, concurrence(rho), c_tomo)))
+        lines.append(_row((theta, res.g, res.delta_g, c_g, c_true, c_tomo)))
     return "\n".join(lines) + "\n"
 
 

@@ -107,20 +107,24 @@ def test_tomo(solves, capsys, tables, reference):
             solves[name].clear()
         report = json.loads(run(capsys, "tomo", path, "--reference", ref))
         assert set(report) == {"eigenvalues", "purity", "tomo_concurrence", "fidelity", "inputs"}
-        # one eigh of the raw estimate and one of the reference (a named
-        # state, or the reference file's raw estimate); SVDs for the
-        # concurrence and the fidelity
-        assert [matrices(solves[name]) for name in SOLVERS] == [2, 0, 2], path
+        # one eigh of the raw estimate, and one of the reference file's raw
+        # estimate (a named state's projector is its own square root); SVDs
+        # for the concurrence and the fidelity
+        want = [2, 0, 2] if reference == "file" else [1, 0, 2]
+        assert [matrices(solves[name]) for name in SOLVERS] == want, path
         assert_no_projected_input(solves, projected_states([path] + ([ref] if reference == "file" else [])))
 
 
 @pytest.mark.parametrize("noise", ["exact", "poisson"])
-def test_sweep_g(solves, capsys, noise):
+@pytest.mark.parametrize("damp", [(), ("--damp", "z:0.3")])
+def test_sweep_g(solves, capsys, noise, damp):
     steps = 12
-    out = run(capsys, "sweep-g", "--steps", str(steps), "--noise", noise, "--n", "50", "--seed", "3")
+    out = run(capsys, "sweep-g", "--steps", str(steps), "--noise", noise, "--n", "50", "--seed", "3", *damp)
     assert len(out.splitlines()) == steps + 1
-    # _simulate's eigvalsh checks the prepared states; concurrence's eigh
-    # takes them for c_true and the projection's eigh takes the raw
-    # estimates for c_tomo; one SVD each for c_true and c_tomo
-    assert [len(solves[name]) for name in SOLVERS] == [2, 1, 2]
-    assert [matrices(solves[name]) for name in SOLVERS] == [2 * steps, steps, 2 * steps]
+    # _simulate's eigvalsh checks the prepared states; the projection's eigh
+    # takes the raw estimates, and one SVD, for c_tomo. An undamped sweep
+    # reads c_true from its kets; a damped one's states are mixed, and
+    # concurrence runs an eigh and an SVD on them
+    calls = [2, 1, 2] if damp else [1, 1, 1]
+    assert [len(solves[name]) for name in SOLVERS] == calls
+    assert [matrices(solves[name]) for name in SOLVERS] == [n * steps for n in calls]
