@@ -24,6 +24,7 @@ from .counts import (
     _delta,
     _pauli_matrix,
     _simulate,
+    _unreadable,
     g_from_counts,
     k_from_counts,
     parse_counts_csv,
@@ -215,23 +216,17 @@ def _csv(header: str, rows: np.ndarray) -> str:
     return header + line * len(rows) % tuple(rows.ravel().tolist()) + "\n"
 
 
-def _sweep_pauli_matrix(n: np.ndarray, settings, where) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_pauli_matrix of the stack of tables n (..., 36), and a mask of the
-    tables it cannot read: those with a read group of zero, subnormal or
-    non-finite total. Each such table is named on stderr, as where(index)
-    names it, with its first such group; it is read as a table of ones, so
-    that its row can be computed and then set to nan by the caller."""
-    try:
-        return (*_pauli_matrix(n, settings), np.zeros(n.shape[:-1], dtype=bool))
-    except ValueError:
-        bad = np.zeros(n.shape[:-1], dtype=bool)
-        for index in np.ndindex(bad.shape):
-            try:
-                _pauli_matrix(n[index], settings)
-            except ValueError as exc:
-                bad[index] = True
-                print(f"warning: {where(*index)}: {exc}; its estimates are nan", file=sys.stderr)
-        return (*_pauli_matrix(np.where(bad[..., None], 1.0, n), settings), bad)
+def _read_sweep(rhos: np.ndarray, settings, cfg: SimConfig, where) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_pauli_matrix of the counts simulated for the stack of states rhos,
+    with a mask of the tables in place of its group mask: those with a read
+    group of zero, subnormal or non-finite total. Each such table is named on
+    stderr, as where(*index) names it, with its first such group; the caller
+    writes nan for its estimates."""
+    t, groups, inv, bad = _pauli_matrix(_simulate(rhos, settings, cfg), settings)
+    tables = bad.any(axis=(-2, -1))
+    for index in map(tuple, np.argwhere(tables)):  # np.ndindex order
+        print(f"warning: {where(*index)}: {_unreadable(groups[index], bad[index])}; its estimates are nan", file=sys.stderr)
+    return t, groups, inv, tables
 
 
 def _cmd_sweep_g(args) -> int:
@@ -242,8 +237,7 @@ def _cmd_sweep_g(args) -> int:
     rhos = _prepared_density(args, grid, arms, kets)
     # undamped states are pure: the kets before the plates give their concurrence
     c_true = concurrence(rhos) if args.damp else _concurrence_of_kets(kets)
-    n = _simulate(rhos, FULL_SETTINGS, cfg)
-    t, groups, inv, bad = _sweep_pauli_matrix(n, FULL_SETTINGS, lambda b: f"theta {grid[b]:.12g}")
+    t, groups, inv, bad = _read_sweep(rhos, FULL_SETTINGS, cfg, lambda b: f"theta {grid[b]:.12g}")
     g, _, grad = _g_terms(t)
     delta_g = _delta(groups, inv, grad, cfg.noise == "exact")
     rows = np.column_stack([grid, g, delta_g, _clamped_c_from_g(g), c_true, _tomo_concurrence(t)])
@@ -258,8 +252,7 @@ def _cmd_sweep_k(args) -> int:
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
     fixed = np.broadcast_to([_NAMED_STATES["HH"], _NAMED_STATES["VH"]], (len(grid), 2, 4))
     kets = np.concatenate([_prepare(args.family, np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
-    n = _simulate(pure_to_density(kets), KMODE_SETTINGS, cfg)
-    t, _, _, bad = _sweep_pauli_matrix(n, KMODE_SETTINGS, lambda b, s: f"theta {grid[b]:.12g}, k{s} state")
+    t, _, _, bad = _read_sweep(pure_to_density(kets), KMODE_SETTINGS, cfg, lambda b, s: f"theta {grid[b]:.12g}, k{s} state")
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
     ks[bad] = np.nan
     rows = np.column_stack([grid, ks, [k_separable_bound(s) for s in coeffs]])

@@ -21,6 +21,13 @@ reads g, k and the tomographic state from one estimate of the full table:
 k reads only the diagonal groups, so it is the same, bit for bit, on the
 full table's estimate as on its k-mode subset's.
 
+_estimate reads one table through _pauli_matrix, which reads a stack of
+tables of any leading shape and never raises: a read group whose total has
+no positive finite inverse (zero, subnormal or non-finite) is marked in a
+mask and read as a group outside the settings. _estimate, and so every
+public estimator, raises ValueError naming the first such group of its
+table; the sweeps write nan for the tables the mask marks.
+
 Poisson counts are numpy's Generator(PCG64).poisson bit for bit, each
 setting of each table on its own substream (see _simulate). A single table
 is drawn one Generator at a time; a stack of ten or more tables, such as a
@@ -42,7 +49,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import pure_to_density, tensor_product, validate_density
-from .errors import DuplicateSetting, MissingSetting, ParseError
+from .errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
 from .measures import GResult, KResult, SchmidtCoeffs, _g_terms, _k_terms, k_separable_bound
 from .optics import PAULI_EIGENBASIS, BasisLabel
 
@@ -347,11 +354,8 @@ def parse_counts_csv(text: str) -> CountsTable:
             raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         try:
             s = FULL_SETTINGS[6 * _LABEL_INDEX[parts[0]] + _LABEL_INDEX[parts[1]]]
-        except KeyError:  # an unknown label, which BasisLabel.parse names
-            try:
-                s = Setting(BasisLabel.parse(parts[0]), BasisLabel.parse(parts[1]))
-            except ParseError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
+        except KeyError as exc:  # the first field that is not a label
+            raise UnknownLabel(f"line {lineno}: unknown basis label {exc.args[0]!r}") from None
         try:
             n = float(parts[2])
         except ValueError:
@@ -409,41 +413,56 @@ def _layout(settings: tuple[Setting, ...]) -> tuple[np.ndarray, operator.itemget
 
 
 def _estimate(table: CountsTable, settings: tuple[Setting, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The group-normalized estimator on one table: _pauli_matrix of its
-    counts at the given settings."""
+    """The group-normalized estimator on one table: t, the group counts and
+    1/T from _pauli_matrix of its counts at the given settings. A table with
+    an unreadable group raises ValueError naming the first, in row-major
+    order."""
     ords, get, _ = _layout(settings)
     try:  # the counts at their canonical ordinals, zero elsewhere
         n = np.bincount(ords, weights=get(table.counts), minlength=len(FULL_SETTINGS))
     except KeyError as exc:  # the getter stops at the first setting the table lacks
         raise MissingSetting(f"counts table is missing setting {exc.args[0].a},{exc.args[0].b}") from None
-    return _pauli_matrix(n, settings)
+    t, groups, inv, bad = _pauli_matrix(n, settings)
+    if bad.any():
+        raise ValueError(_unreadable(groups, bad))
+    return t, groups, inv
 
 
-def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t (..., 4, 4), the group counts n[..., _GROUP_SLOTS] (..., 3, 3, 4)
-    and the inverse group totals 1/T (..., 3, 3) from canonical counts
-    n (..., 36) of any leading shape, measured at the given settings.
+def _unreadable(groups: np.ndarray, bad: np.ndarray) -> str:
+    """'settings group (i, j) has zero|subnormal|non-finite total counts' for
+    the first group, in row-major order, that bad (3, 3) marks in one table's
+    group counts (3, 3, 4), both as _pauli_matrix returns them."""
+    i, j = np.argwhere(bad)[0]
+    total = sum(groups[i, j].tolist())  # a Python float overflows to inf without a numpy warning
+    kind = "zero" if total == 0.0 else "subnormal" if total < 1.0 else "non-finite"
+    return f"settings group ({i + 1}, {j + 1}) has {kind} total counts"
+
+
+def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """t (..., 4, 4), the group counts n[..., _GROUP_SLOTS] (..., 3, 3, 4),
+    the inverse group totals 1/T (..., 3, 3) and the mask bad (..., 3, 3) of
+    unreadable groups, from canonical counts n (..., 36) of any leading
+    shape, measured at the given settings. It never raises.
 
     Each group's moments are its signed sums scaled by 1/T, and t gathers
     them, with t[0, 0] = 1. Summing before scaling keeps t exact on integer
     counts. Groups outside the settings get 1/T = 0, so the entries that
-    read them are 0. A group that is read must have a total whose inverse
-    is positive and finite; otherwise ValueError names the first such group.
+    read them are 0. bad marks each read group whose total has no positive
+    finite inverse: a zero, subnormal or non-finite total. Such a group is
+    read as if it were outside the settings, so each table of a stack reads
+    as it does alone, and finite counts give a finite t and _delta.
     """
     read = _layout(tuple(settings))[2]
     groups = n[..., _GROUP_SLOTS]
-    with np.errstate(over="ignore", divide="ignore"):  # bad totals are reported below, not warned about
+    with np.errstate(over="ignore", divide="ignore"):  # bad totals are marked below, not warned about
         sums = groups @ _MOMENTS.T
         inv = np.divide(1.0, sums[..., 0], out=np.zeros(sums.shape[:-1]), where=read)
     bad = read & ~((inv > 0.0) & (inv < np.inf))
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0])
-        total, (i, j) = sums[index][0], np.add(index[-2:], 1)
-        kind = "zero" if total == 0.0 else "subnormal" if total < 1.0 else "non-finite"
-        raise ValueError(f"settings group ({i}, {j}) has {kind} total counts")
+    if bad.any():  # only here, so that readable tables pay no masked product
+        sums[bad] = inv[bad] = 0.0
     t = (sums * inv[..., None]).reshape(n.shape).take(_T_SOURCE, axis=-1)  # C order, as a single table has it
     t[..., 0] = 1.0
-    return t.reshape(n.shape[:-1] + (4, 4)), groups, inv
+    return t.reshape(n.shape[:-1] + (4, 4)), groups, inv, bad
 
 
 def _delta(groups: np.ndarray, inv: np.ndarray, grad_t: np.ndarray, exact: bool) -> np.ndarray:

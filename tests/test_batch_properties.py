@@ -13,7 +13,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from entquant import FULL_SETTINGS, KMODE_SETTINGS, concurrence, linear_inversion, project_to_physical  # noqa: E402
 from entquant.algebra import pure_to_density, random_density, random_pure  # noqa: E402
-from entquant.counts import _delta, _pauli_matrix  # noqa: E402
+from entquant.counts import _delta, _pauli_matrix, group_settings  # noqa: E402
 from entquant.measures import (  # noqa: E402
     _PAULI_TENSOR,
     _g_terms,
@@ -72,24 +72,34 @@ tables = st.tuples(
     st.sampled_from([0.5, 3.0, 50.0, 5000.0, 1e12]),
     st.sampled_from([FULL_SETTINGS, KMODE_SETTINGS]),
     st.booleans(),
+    st.sampled_from([None, 0.0, 1e308, 1e-320]),  # a count to fill one read group of one member with
 )
 
 
 @SETTINGS
 @hypothesis.given(tables)
 def test_estimates_and_error_bars(spec):
-    size, seed, flux, settings, exact = spec
+    size, seed, flux, settings, exact, fill = spec
     rng = np.random.default_rng(seed)
     n = rng.poisson(flux, size=(size, 36)).astype(float) + 1.0  # every group total positive
     if rng.random() < 0.5:
         n *= rng.uniform(0.5, 2.0, size=n.shape)  # non-integer counts
-    t, groups, inv = _pauli_matrix(n, settings)
+    if fill is not None:  # a zero, non-finite or subnormal total, which marks the group unreadable
+        i = rng.integers(1, 4)
+        j = rng.integers(1, 4) if settings is FULL_SETTINGS else i  # k-mode reads the diagonal groups
+        n[rng.integers(size), [FULL_SETTINGS.index(s) for s in group_settings(i, j)]] = fill
+    t, groups, inv, bad = _pauli_matrix(n, settings)
     g, _, grad = _g_terms(t)
     dg = _delta(groups, inv, grad, exact)
+    _tomo_concurrence(t)  # the pytest configuration makes a numpy RuntimeWarning an error
+    assert bad.sum() == (fill is not None)
     for i in range(size):
-        ti, gi, invi = _pauli_matrix(n[i], settings)
+        ti, gi, invi, badi = _pauli_matrix(n[i], settings)
         g1, _, grad1 = _g_terms(ti)
         assert np.array_equal(t[i], ti) and np.array_equal(inv[i], invi)
+        assert_same_bits(t[i], ti)
+        assert_same_bits(inv[i], invi)
+        assert np.array_equal(bad[i], badi)
         assert np.array_equal(g[i], g1)
         assert np.array_equal(dg[i], _delta(gi, invi, grad1, exact))
 

@@ -726,6 +726,20 @@ class TestLowFluxSweeps:
         named = {re.fullmatch(pattern, w).groups() for w in warnings}
         assert named == {(theta, str(k)) for theta, row in rows.items() for k in range(3) if row[1 + k] == "nan"}
 
+    @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
+    def test_sweep_reads_its_stack_once(self, capsys, monkeypatch, verb):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = cli._pauli_matrix
+        monkeypatch.setattr(cli, "_pauli_matrix", counting)
+        assert cli.main([verb, "--noise", "poisson", "--n", "3", "--seed", "5", "--steps", "31"]) == 0
+        assert "nan" in capsys.readouterr().out  # some tables of the stack are unreadable
+        assert len(calls) == 1
+
     def test_readable_sweep_writes_no_warning(self, capsys):
         assert cli.main(["sweep-g", "--steps", "31", "--noise", "poisson", "--seed", "5", "--n", "500"]) == 0
         out, err = capsys.readouterr()
