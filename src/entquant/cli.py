@@ -2,7 +2,8 @@
 
 Verbs: analyze, simulate, sweep-g, sweep-k, ilut-check, tomo. Single
 analyses emit JSON reports; sweeps emit CSV. Exit codes: 0 success,
-2 bad input or flags, 3 incomplete counts data.
+2 bad input or flags, 3 incomplete counts data. An error about a counts
+file's content names the file first: "error: <path>: ...".
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _prepare(family: str, theta_rad):
 
 def _read_table(path: str, unreadable: str | None = None) -> CountsTable:
     """The table in the file path; an unreadable file is reported as
-    unreadable says, or as "cannot read <path>"."""
+    unreadable says, or as "cannot read <path>", and a parse error starts
+    "<path>: "."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -83,7 +85,26 @@ def _read_table(path: str, unreadable: str | None = None) -> CountsTable:
         # the line of the bad byte, counted as parse_counts_csv counts lines
         line = len((exc.object[: exc.start].decode("utf-8-sig") + "x").splitlines())
         raise ParseError(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
-    return parse_counts_csv(text)
+    try:
+        return parse_counts_csv(text)
+    except ValueError as exc:
+        raise _naming(path, exc) from None
+
+
+def _read_estimate(path: str, estimator, unreadable: str | None = None) -> tuple:
+    """The table in the file path, read by _read_table, and estimator(table),
+    whose errors name the file as a parse error does."""
+    table = _read_table(path, unreadable)
+    try:
+        return table, estimator(table)
+    except (MissingSetting, ValueError) as exc:
+        raise _naming(path, exc) from None
+
+
+def _naming(path: str, exc: Exception) -> Exception:
+    """exc, an error about the content of the counts file path, with its
+    message after "<path>: "; its type, and so the exit code, stays."""
+    return type(exc)(f"{path}: {exc}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -167,8 +188,7 @@ def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
 
 
 def _cmd_analyze(args) -> int:
-    table = _read_table(args.counts_file)
-    res = g_from_counts(table)
+    table, res = _read_estimate(args.counts_file, g_from_counts)
     report = {
         "g": res.g,
         "delta_g": res.delta_g,
@@ -186,6 +206,8 @@ def _cmd_analyze(args) -> int:
             "delta_k": kres.delta_k,
         }
     report["inputs"] = {"file": args.counts_file, "source": table.source}
+    if args.theta is not None:
+        report["inputs"]["theta_deg"] = args.theta
     if table.seed is not None:
         report["inputs"]["seed"] = table.seed
     _emit_report(report, args.out)
@@ -265,7 +287,7 @@ def _cmd_ilut_check(args) -> int:
         raise ValueError(f"--k must be finite and >= 0, got {args.k!r}")
     state_flags = [f"--{name}" for name in ("family", "theta", "hwp", "qwp", "damp") if getattr(args, name) is not None]
     if len(args.counts_files) == 2 and not state_flags:
-        r1, r2 = (g_from_counts(_read_table(p)) for p in args.counts_files)
+        r1, r2 = (_read_estimate(p, g_from_counts)[1] for p in args.counts_files)
         g1, d1 = r1.g, r1.delta_g
         g2, d2 = r2.g, r2.delta_g
         inputs = {"files": list(args.counts_files)}
@@ -276,7 +298,7 @@ def _cmd_ilut_check(args) -> int:
             raise ValueError("state mode needs at least one --hwp or --qwp flag to compare against")
         g1, d1 = g_measure(rho).g, 0.0
         g2, d2 = g_measure(apply_local_unitary(rho, *arms)).g, 0.0
-        inputs = {"family": args.family, "theta_deg": args.theta, "damp": args.damp}
+        inputs = {"family": args.family, "theta_deg": args.theta, "damp": args.damp, "hwp": args.hwp, "qwp": args.qwp}
     else:
         raise ValueError(f"ilut-check takes two counts files or a state spec, got {args.counts_files + state_flags}")
     diff = abs(g1 - g2)
@@ -305,15 +327,14 @@ def _reference_sqrt(text: str) -> np.ndarray:
     if text in _NAMED_STATES:
         return pure_to_density(_NAMED_STATES[text])
     named = ", ".join(_NAMED_STATES)
-    table = _read_table(text, f"--reference {text} is neither a named state ({named}) nor a readable counts file")
-    return _sqrt_from_eigh(*_reconstruction(table)[1:])
+    _, (_, w, v) = _read_estimate(text, _reconstruction, f"--reference {text} is neither a named state ({named}) nor a readable counts file")
+    return _sqrt_from_eigh(w, v)
 
 
 def _cmd_tomo(args) -> int:
     """The report reads every field from the one eigendecomposition that
     reconstructs the state."""
-    table = _read_table(args.counts_file)
-    _, w, v = _reconstruction(table)
+    table, (_, w, v) = _read_estimate(args.counts_file, _reconstruction)
     report = {
         "eigenvalues": w[::-1].tolist(),
         "purity": float(np.sum(w * w)),

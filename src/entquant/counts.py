@@ -99,7 +99,8 @@ KMODE_SETTINGS: tuple[Setting, ...] = tuple(FULL_SETTINGS[o] for o in np.sort(np
 
 @dataclass
 class CountsTable:
-    """Map from settings to nonnegative coincidence counts.
+    """Map from settings to nonnegative coincidence counts. A key that is
+    not one of the 36 settings raises ValueError.
 
     source is 'exact' for noiseless expected counts (error bars are zero),
     'poisson' for sampled counts, and 'file' for parsed data of unknown
@@ -113,6 +114,8 @@ class CountsTable:
 
     def __post_init__(self, _checked):
         for s, n in () if _checked else self.counts.items():
+            if s not in _ORDINAL:  # a (BasisLabel, BasisLabel) tuple equals its Setting, so it passes
+                raise ValueError(f"counts key {s!r} is not one of the 36 settings")
             if not 0 <= n < np.inf:  # written so that NaN fails too
                 raise ValueError(f"count for {s} must be nonnegative and finite, got {n!r}")
 

@@ -8,7 +8,8 @@ summed in squares over the nine pairs to give the measure g = sum C(i,j)^2.
 For pure states g relates to the concurrence c by g = c^2 (c^2 + 2); for
 mixed states g acts as a witness bracketed by c^2(c^2+2) <= g <= 2c^2 + 1
 (tested empirically, not asserted). The module also provides the
-local-uncertainty variance sum and the nonlocal variance measure k built
+local-uncertainty variance sum, a closed form in the same marginals and
+covariance matrix (see lur_sum), and the nonlocal variance measure k built
 from four projectors onto a Schmidt-form basis.
 
 The separable bound g <= 1 is proved. Write a separable state as
@@ -31,12 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    expectation_value,
-    is_hermitian,
-    pauli_operator,
-    tensor_product,
-)
+from .algebra import is_hermitian, pauli_operator, tensor_product, validate_density
 from .errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
 
 # sigma_i (x) sigma_j for i, j in 0..3, stacked for one-shot expectation sweeps
@@ -181,12 +177,8 @@ class LurSpec:
     bound: float
 
     def __post_init__(self):
-        a = tuple(np.asarray(m, dtype=complex) for m in self.observables_a)
-        b = tuple(np.asarray(m, dtype=complex) for m in self.observables_b)
-        if len(a) != len(b) or len(a) < 1:
+        if len(self.observables_a) != len(self.observables_b) or len(self.observables_a) < 1:
             raise ValueError("observable lists must have equal length >= 1")
-        object.__setattr__(self, "observables_a", a)
-        object.__setattr__(self, "observables_b", b)
 
 
 # Variance sum of the three Paulis on one qubit is 3 - |bloch|^2 >= 2.
@@ -201,16 +193,23 @@ def pauli_lur_spec() -> LurSpec:
 
 def lur_sum(rho: np.ndarray, spec: LurSpec) -> tuple[float, bool]:
     """Sum of variances of A_i (x) I + I (x) B_i on rho, and whether it
-    undercuts the separable bound (a local-uncertainty violation)."""
-    ident = pauli_operator(0)
-    total = 0.0
+    undercuts the separable bound (a local-uncertainty violation).
+
+    Each Hermitian A = x0 I + x.sigma and B = y0 I + y.sigma, with
+    x_k = tr(sigma_k A) / 2, is read through the Pauli matrix t of rho:
+    Var(A (x) I + I (x) B) = |x|^2 - (x.a)^2 + |y|^2 - (y.b)^2 + 2 x^T C y,
+    with the marginals a, b and covariance matrix C of _g_terms. The
+    observables are checked before rho, which must be a density matrix.
+    """
     for a, b in zip(spec.observables_a, spec.observables_b):
         for name, m in (("A", a), ("B", b)):
             if not is_hermitian(m, 1e-10):
                 raise NonHermitianObservable(f"{name} observable is not Hermitian")
-        op = tensor_product(a, ident) + tensor_product(ident, b)
-        mean = expectation_value(rho, op)
-        total += expectation_value(rho, op @ op) - mean * mean
+    t = pauli_expectation_matrix(validate_density(rho))
+    cov = _g_terms(t)[1]
+    x, y = np.einsum("kij,snji->snk", _PAULIS[1:], np.array([spec.observables_a, spec.observables_b])).real / 2.0
+    var = np.sum(x * x + y * y + 2.0 * (x @ cov) * y, axis=-1) - (x @ t[1:, 0]) ** 2 - (y @ t[0, 1:]) ** 2
+    total = float(var.sum())
     return total, total < spec.bound - 1e-10
 
 

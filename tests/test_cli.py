@@ -150,6 +150,12 @@ class TestAnalyze:
         assert report["k"]["bound"] == pytest.approx(0.5, abs=1e-12)
         assert len(report["k"]["expectations"]) == 4
 
+    def test_inputs_record_theta_only_when_given(self, capsys):
+        assert cli.main(["analyze", BLOCK1, "--theta", "22.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"file": BLOCK1, "source": "file", "theta_deg": 22.5}
+        assert cli.main(["analyze", BLOCK1]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"file": BLOCK1, "source": "file"}
+
     def test_missing_setting_exits_3(self, tmp_path):
         with open(BLOCK1, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -383,6 +389,19 @@ class TestIlutCheck:
         assert captured.out == ""
         assert flag[0] in captured.err
 
+    def test_state_mode_inputs_record_the_plates(self, capsys):
+        argv = ["ilut-check", "--family", "antiparallel", "--theta", "22.5", "--qwp", "a:45", "--hwp", "b:10"]
+        assert cli.main(argv) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert inputs == {"family": "antiparallel", "theta_deg": 22.5, "damp": None, "hwp": ["b:10"], "qwp": ["a:45"]}
+        assert cli.main(["ilut-check", "--family", "parallel", "--theta", "10", "--hwp", "a:20", "--hwp", "b:5"]) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert inputs["hwp"] == ["a:20", "b:5"] and inputs["qwp"] is None
+
+    def test_file_mode_inputs_are_the_files(self, capsys):
+        assert cli.main(["ilut-check", BLOCK1, BLOCK2]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"files": [BLOCK1, BLOCK2]}
+
     @pytest.mark.parametrize("k", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("mode", [(BLOCK1, BLOCK2), ("--family", "parallel", "--theta", "10", "--hwp", "a:20")])
     def test_k_must_be_finite_and_nonnegative(self, capsys, mode, k):
@@ -580,6 +599,39 @@ class TestCliContract:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {path}: line 1: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    @pytest.fixture(params=["kmode", "bad-label", "empty-group"])
+    def faulty_table(self, request, tmp_path):
+        """A counts file whose content a reading verb rejects, its exit code and the error it must give."""
+        path = tmp_path / "faulty.csv"
+        if request.param == "kmode":
+            assert cli.main(["simulate", "--family", "parallel", "--theta", "10", "--settings", "kmode", "--out", str(path)]) == 0
+            return str(path), 3, "counts table is missing setting H,D"
+        if request.param == "bad-label":
+            path.write_text("basis_a,basis_b,count\nX,H,3\n")
+            return str(path), 2, "line 2: unknown basis label 'X'"
+        zero = set(counts.group_settings(2, 3))
+        path.write_text("basis_a,basis_b,count\n" + "".join(f"{s.a},{s.b},{0 if s in zero else 7}\n" for s in FULL_SETTINGS))
+        return str(path), 2, "settings group (2, 3) has zero total counts"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ilut-check", BLOCK1, "{}"],
+            ["ilut-check", "{}", BLOCK1],
+            ["tomo", BLOCK1, "--reference", "{}"],
+            ["tomo", "{}"],
+            ["analyze", "{}"],
+            ["analyze", "{}", "--tomo", "--theta", "10"],
+        ],
+        ids=["ilut-second", "ilut-first", "tomo-reference", "tomo", "analyze", "analyze-tomo-theta"],
+    )
+    def test_content_errors_name_the_file(self, capsys, faulty_table, argv):
+        path, code, message = faulty_table
+        assert cli.main([a.format(path) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
     def test_main_does_not_rebuild_the_parser(self, monkeypatch, capsys):
         def fail():

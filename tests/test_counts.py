@@ -730,6 +730,16 @@ class TestCountsTableValidation:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             CountsTable(counts={Setting(H, H): n})
 
+    @pytest.mark.parametrize("key", ["HV", Setting("H", "V"), (H, "V")], ids=["str", "setting-of-str", "tuple-of-mixed"])
+    def test_key_that_is_not_a_setting_rejected(self, key):
+        with pytest.raises(ValueError, match="is not one of the 36 settings") as excinfo:
+            CountsTable(counts={Setting(H, H): 1.0, key: 3.0})
+        assert repr(key) in str(excinfo.value)
+
+    def test_label_tuple_key_accepted(self):
+        table = CountsTable(counts={(H, V): 3.0})
+        assert table.counts[Setting(H, V)] == 3.0
+
     def test_replaced_counts_of_a_parsed_table_are_checked(self, block1):
         # parse_counts_csv checks each row itself, so its table skips the check
         # that a copy with new counts must still make

@@ -22,7 +22,7 @@ from entquant import (
     random_unitary,
     tensor_product,
 )
-from entquant.errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
+from entquant.errors import BadTrace, IdentityIndexNotAllowed, NonHermitianObservable, NotHermitian, OutOfRange
 from entquant.measures import LurSpec, pauli_expectation_matrix, pauli_lur_spec
 
 from conftest import random_qubit_density
@@ -285,6 +285,58 @@ class TestLurSum:
     def test_unequal_lists_rejected(self):
         with pytest.raises(ValueError):
             LurSpec(observables_a=(np.eye(2),), observables_b=(), bound=1.0)
+
+
+def lur_sum_by_operators(rho: np.ndarray, spec: LurSpec) -> float:
+    """Independent oracle, the operator loop that lur_sum replaced:
+    <T^2> - <T>^2 for each T = A (x) I + I (x) B, as 4x4 matrices."""
+    total = 0.0
+    for a, b in zip(spec.observables_a, spec.observables_b):
+        t = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
+        mean = np.trace(rho @ t).real
+        total += np.trace(rho @ t @ t).real - mean * mean
+    return total
+
+
+def random_hermitian(rng: np.random.Generator) -> np.ndarray:
+    """A 2x2 Hermitian matrix with an identity part, scaled by 0.1 to 3."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return rng.uniform(0.1, 3.0) * (g + g.conj().T) / 2
+
+
+class TestLurSumMatchesOperatorLoop:
+    def test_random_states_and_specs(self):
+        # Hilbert-Schmidt mixed and Haar pure states, each with 1 to 4 random pairs
+        for seed in range(1000):
+            rng = np.random.default_rng([22, seed])
+            rho = random_density(rng) if seed % 2 else pure_to_density(random_pure(rng))
+            pairs = rng.integers(1, 5)
+            spec = LurSpec(
+                observables_a=tuple(random_hermitian(rng) for _ in range(pairs)),
+                observables_b=tuple(random_hermitian(rng) for _ in range(pairs)),
+                bound=2.0,
+            )
+            ref = lur_sum_by_operators(rho, spec)
+            total, violated = lur_sum(rho, spec)
+            assert abs(total - ref) <= 1e-12 * max(1.0, abs(ref)), seed
+            assert violated == (total < spec.bound - 1e-10), seed
+
+    def test_unit_trace_required(self):
+        with pytest.raises(BadTrace):  # t[0, 0] = 4, and the closed form needs a unit trace
+            lur_sum(np.eye(4), pauli_lur_spec())
+
+    def test_non_hermitian_state_rejected(self, singlet):
+        rho = singlet.copy()
+        rho[0, 1] += 1e-3
+        with pytest.raises(NotHermitian) as excinfo:
+            lur_sum(rho, pauli_lur_spec())
+        assert excinfo.type is NotHermitian
+
+    def test_observables_checked_before_state(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        spec = LurSpec(observables_a=(np.eye(2), bad), observables_b=(np.eye(2), np.eye(2)), bound=1.0)
+        with pytest.raises(NonHermitianObservable):
+            lur_sum(np.eye(4), spec)
 
 
 class TestSchmidtCoeffs:
