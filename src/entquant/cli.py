@@ -327,14 +327,14 @@ def _reference_sqrt(text: str) -> np.ndarray:
     if text in _NAMED_STATES:
         return pure_to_density(_NAMED_STATES[text])
     named = ", ".join(_NAMED_STATES)
-    _, (_, w, v) = _read_estimate(text, _reconstruction, f"--reference {text} is neither a named state ({named}) nor a readable counts file")
+    _, (w, v) = _read_estimate(text, _reconstruction, f"--reference {text} is neither a named state ({named}) nor a readable counts file")
     return _sqrt_from_eigh(w, v)
 
 
 def _cmd_tomo(args) -> int:
     """The report reads every field from the one eigendecomposition that
     reconstructs the state."""
-    table, (_, w, v) = _read_estimate(args.counts_file, _reconstruction)
+    table, (w, v) = _read_estimate(args.counts_file, _reconstruction)
     report = {
         "eigenvalues": w[::-1].tolist(),
         "purity": float(np.sum(w * w)),

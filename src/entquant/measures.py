@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import is_hermitian, pauli_operator, tensor_product, validate_density
+from .algebra import _validate_density, is_hermitian, pauli_operator, tensor_product, validate_density
 from .errors import IdentityIndexNotAllowed, NonHermitianObservable, OutOfRange
 
 # sigma_i (x) sigma_j for i, j in 0..3, stacked for one-shot expectation sweeps
@@ -60,8 +60,9 @@ def covariance(rho: np.ndarray, i: int, j: int) -> float:
 
 
 def covariance_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 matrix of C(s_i, s_j) over i, j in {1, 2, 3}."""
-    return _g_terms(pauli_expectation_matrix(rho))[1]
+    """3x3 matrix of C(s_i, s_j) over i, j in {1, 2, 3}; rho must be a
+    density matrix."""
+    return _g_terms(pauli_expectation_matrix(validate_density(rho)))[1]
 
 
 def _g_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,8 +94,9 @@ class GResult:
 
 
 def g_measure(rho: np.ndarray) -> GResult:
-    """Sum of the nine squared Pauli covariances of rho."""
-    g, cov, _ = _g_terms(pauli_expectation_matrix(rho))
+    """Sum of the nine squared Pauli covariances of rho, which must be a
+    density matrix."""
+    g, cov, _ = _g_terms(pauli_expectation_matrix(validate_density(rho)))
     return GResult(g=float(g), covariance=cov)
 
 
@@ -108,10 +110,13 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     sqrt(rho) (YY) sqrt(rho)* = v tau v^T, which is exact at rank deficiency
     where the non-normal product's eigensolve loses half its digits: a zero
     eigenvalue zeroes its row and column of tau. A stack of states
-    (..., 4, 4) gives an array of concurrences.
+    (..., 4, 4) gives an array of concurrences. rho must be a density
+    matrix; its eigenvalue check reads the w of this eigensolve.
     """
     rho = np.asarray(rho, dtype=complex)
-    return _concurrence_from_eigh(*np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2))
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    _validate_density(rho, w)
+    return _concurrence_from_eigh(w, v)
 
 
 def _concurrence_from_eigh(w: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -307,6 +312,7 @@ def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def k_measure(rho: np.ndarray, s: SchmidtCoeffs) -> KResult:
-    """k = sum_i (<M_i> - <M_i>^2), using the projector identity M_i^2 = M_i."""
-    k, m, _ = _k_terms(pauli_expectation_matrix(rho), s.a, s.b)
+    """k = sum_i (<M_i> - <M_i>^2), using the projector identity M_i^2 = M_i;
+    rho must be a density matrix."""
+    k, m, _ = _k_terms(pauli_expectation_matrix(validate_density(rho)), s.a, s.b)
     return KResult(k=float(k), expectations=tuple(m.tolist()), bound=k_separable_bound(s))

@@ -2,9 +2,11 @@
 
 Linear inversion of the (overcomplete) Pauli expectation matrix, followed by
 a deterministic restoration of physicality: the eigenvalues of the raw
-estimate are Euclidean-projected onto the probability simplex. This gives an
-independent concurrence estimate to compare against the covariance-sum
-route.
+estimate are Euclidean-projected onto the probability simplex (Smolin,
+Gambetta & Smith, PRL 108, 070502). This gives an independent concurrence
+estimate to compare against the covariance-sum route. The concurrence and
+the CLI's reports read the projected spectrum and eigenvectors; only
+reconstruct and project_to_physical rebuild, and check, the matrix.
 """
 
 from __future__ import annotations
@@ -14,14 +16,6 @@ import numpy as np
 from .algebra import _validate_density
 from .counts import FULL_SETTINGS, CountsTable, _estimate
 from .measures import _PAULI_TENSOR, _concurrence_from_eigh
-
-#: linear_inversion's gather. Entry e of the flattened 4x4 matrices
-#: _PAULI_TENSOR[k] = sigma_i (x) sigma_j (k = 4i + j) is nonzero for exactly
-#: four k: _INV_K[:, e] lists them in ascending order, and _INV_PHASE[:, e]
-#: holds their entries, each in {+-1, +-i}.
-_PAULI_ENTRIES = _PAULI_TENSOR.reshape(16, 16).T  # [e, k]
-_INV_K = np.nonzero(_PAULI_ENTRIES)[1].reshape(16, 4).T
-_INV_PHASE = np.take_along_axis(_PAULI_ENTRIES, _INV_K.T, axis=1).T
 
 
 def pauli_vector_from_counts(table: CountsTable) -> np.ndarray:
@@ -39,21 +33,9 @@ def linear_inversion(t: np.ndarray) -> np.ndarray:
     Hermitian with unit trace by construction; eigenvalues may be negative
     when t was estimated from noisy counts. A stack t (..., 4, 4) gives a
     stack of matrices.
-
-    Each entry gathers its four nonzero terms x_m = t_k * phase, k ascending,
-    each product exact, and sums them as (((x0 + x1) + x2) + x3) + 0.0, then
-    divides by 4: the bits of np.einsum("...k,kij->...ij", t, _PAULI_TENSOR) / 4,
-    whose zero terms leave a nonzero sum alone and whose +0 start turns a
-    -0.0 sum into 0.0.
     """
     t = np.asarray(t, dtype=float)
-    x = t.reshape(t.shape[:-2] + (16,))[..., _INV_K] * _INV_PHASE
-    rho = x[..., 0, :] + x[..., 1, :]
-    rho += x[..., 2, :]
-    rho += x[..., 3, :]
-    rho += 0.0
-    rho /= 4.0
-    return rho.reshape(t.shape)
+    return np.einsum("...k,kij->...ij", t.reshape(t.shape[:-2] + (16,)), _PAULI_TENSOR) / 4.0
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -69,32 +51,31 @@ def project_to_physical(rho_raw: np.ndarray) -> np.ndarray:
     """Nearest density matrix: Hermitize, then simplex-project the spectrum.
 
     Idempotent, and the identity on inputs that are already physical. A
-    stack (..., 4, 4) is projected matrix by matrix.
+    stack (..., 4, 4) is projected matrix by matrix. The state is checked
+    for Hermiticity and trace; its eigenvalue check reads the spectrum it
+    was built with.
     """
-    return _projection(rho_raw)[0]
+    w, v = _spectrum(rho_raw)
+    return _validate_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), w)
 
 
-def _projection(rho_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_to_physical's state, with the simplex-projected eigenvalues w
-    (ascending, as eigh orders them) and the eigenvectors v it was built
-    from. The state is checked for Hermiticity and trace; its eigenvalue
-    check reads w, the spectrum it was built with."""
+def _spectrum(rho_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex-projected eigenvalues w (ascending, as eigh orders them)
+    and the eigenvectors v of the Hermitized rho_raw: project_to_physical's
+    state is v diag(w) v^dag."""
     m = np.asarray(rho_raw, dtype=complex)
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    w, v = np.linalg.eigh(m)
-    w = _project_simplex(w)
-    return _validate_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), w), w, v
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return _project_simplex(w), v
 
 
 def reconstruct(table: CountsTable) -> np.ndarray:
     """Full pipeline: counts -> Pauli expectations -> inversion -> projection."""
-    return _reconstruction(table)[0]
+    return project_to_physical(linear_inversion(pauli_vector_from_counts(table)))
 
 
-def _reconstruction(table: CountsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """reconstruct's state, with the spectrum w and eigenvectors v that its
-    projection built it from (see _projection)."""
-    return _projection(linear_inversion(pauli_vector_from_counts(table)))
+def _reconstruction(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum w and eigenvectors v of reconstruct's state (see _spectrum)."""
+    return _spectrum(linear_inversion(pauli_vector_from_counts(table)))
 
 
 def tomo_concurrence(table: CountsTable) -> float:
@@ -104,9 +85,9 @@ def tomo_concurrence(table: CountsTable) -> float:
 
 def _tomo_concurrence(t: np.ndarray) -> float | np.ndarray:
     """Concurrence of project_to_physical(linear_inversion(t)) (a stack t gives
-    an array), from the eigendecomposition the projection made; it agrees with
+    an array), from the projected spectrum and eigenvectors; it agrees with
     concurrence of the projected state to about 1e-15, not bit for bit."""
-    return _concurrence_from_eigh(*_projection(linear_inversion(t))[1:])
+    return _concurrence_from_eigh(*_spectrum(linear_inversion(t)))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Guard: each reconstructed state is eigendecomposed once.
 
 The projection onto physical states diagonalizes the raw estimate, and every
-quantity of the reconstructed state (its eigenvalues, purity, concurrence,
-square root and the eigenvalue check of its invariants) reads that one
-spectrum and eigenbasis. These tests count the numpy.linalg eigensolves and
+quantity of the reconstructed state (its eigenvalues, purity, concurrence
+and square root) reads that one projected spectrum and eigenbasis. These tests count the numpy.linalg eigensolves and
 SVDs that the tomography verbs run, matrix by matrix, and check that no
 eigensolve takes an already projected state.
 """

@@ -339,6 +339,31 @@ class TestLurSumMatchesOperatorLoop:
             lur_sum(np.eye(4), spec)
 
 
+#: The functions that read a state's Pauli matrix or spectrum, each called on rho.
+STATE_READERS = {
+    "g_measure": g_measure,
+    "covariance_matrix": covariance_matrix,
+    "covariance": lambda rho: covariance(rho, 1, 1),
+    "k_measure": lambda rho: k_measure(rho, SchmidtCoeffs(SQ2, SQ2)),
+    "concurrence": concurrence,
+    "mixed_state_bounds": mixed_state_bounds,
+}
+
+
+@pytest.mark.parametrize("name", STATE_READERS)
+class TestStateReadersCheckTheState:
+    def test_trace_two_rejected(self, name, singlet):
+        # g would read 12.0 here, outside its range [0, 3]
+        with pytest.raises(BadTrace):
+            STATE_READERS[name](2 * singlet)
+
+    def test_non_hermitian_rejected(self, name, singlet):
+        rho = singlet.copy()
+        rho[0, 1] += 1e-3
+        with pytest.raises(NotHermitian):
+            STATE_READERS[name](rho)
+
+
 class TestSchmidtCoeffs:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
-"""Bit-identity tests for the two fixed summation orders that replaced numpy
-reductions: the setting probabilities of counts._simulate, whose diagonal
-sum replaced np.trace(...).real, and tomography.linear_inversion, whose
-four-term gather replaced an einsum over the 16 Pauli tensors. Both
-replaced forms are kept here as references. Results are compared as raw
-bits, so signed zeros count. The examples are derandomized, so every run
-draws the same ones."""
+"""Bit-identity tests for two summation orders: the setting probabilities of
+counts._simulate, whose fixed diagonal sum replaced np.trace(...).real, and
+tomography.linear_inversion, which is the einsum over the 16 Pauli tensors
+that defines it. The trace form and the einsum are kept here as references,
+so the tests pin that each stays what it replaced or what it is. Results
+are compared as raw bits, so signed zeros count. The examples are
+derandomized, so every run draws the same ones."""
 
 import argparse
 import math

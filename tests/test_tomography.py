@@ -6,6 +6,7 @@ import pytest
 from entquant import (
     FULL_SETTINGS,
     SimConfig,
+    cli,
     concurrence,
     concurrence_from_g,
     data_file,
@@ -20,8 +21,9 @@ from entquant import (
     tomo_concurrence,
     trace_distance,
 )
+from entquant import tomography
 from entquant.errors import MissingSetting
-from entquant.tomography import fidelity, reconstruct
+from entquant.tomography import _reconstruction, fidelity, reconstruct
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -186,3 +188,53 @@ class TestFidelityHelpers:
 
     def test_reconstruct_exact_fidelity(self, singlet):
         assert fidelity(reconstruct(exact_table(singlet)), singlet) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSpectrumOnly:
+    """The CLI reads the projected spectrum and eigenvectors; only
+    reconstruct and project_to_physical rebuild and check the matrix."""
+
+    BLOCK1 = data_file("tableII_block1.csv")
+    BLOCK2 = data_file("tableII_block2.csv")
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The list of the matrices passed to tomography._validate_density."""
+        seen = []
+        original = tomography._validate_density
+
+        def counting(m, *args, **kwargs):
+            seen.append(m)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "_validate_density", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", BLOCK1, "--tomo"],
+            ["tomo", BLOCK1, "--reference", "singlet"],
+            ["tomo", BLOCK2, "--reference", BLOCK1],
+            ["sweep-g", "--steps", "12", "--noise", "poisson", "--n", "50", "--seed", "3"],
+        ],
+        ids=["analyze", "tomo-named", "tomo-file", "sweep-g"],
+    )
+    def test_cli_builds_no_state(self, checks, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert checks == []
+
+    def test_the_counter_sees_reconstruct(self, checks):
+        with open(self.BLOCK1, encoding="utf-8") as fh:
+            reconstruct(parse_counts_csv(fh.read()))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reconstruct_is_the_rebuilt_spectrum(self, seed):
+        table = simulate_counts(random_density(seed), FULL_SETTINGS, SimConfig(50.0, "poisson", seed))
+        w, v = _reconstruction(table)
+        rebuilt = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        got = reconstruct(table)
+        assert got.dtype == rebuilt.dtype
+        assert np.array_equal(got.view(np.uint64), rebuilt.view(np.uint64))  # tells -0.0 from 0.0
