@@ -80,14 +80,30 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """(u_a (x) u_b) rho (u_a (x) u_b)^dagger, for 2x2 unitaries u_a, u_b."""
-    arms = np.array([u_a, u_b])  # both arms' u^dagger u - I in one stacked product
+    """(u_a (x) u_b) rho (u_a (x) u_b)^dagger, for 2x2 unitaries u_a, u_b,
+    in _matmul's fixed-order real arithmetic. A stack of states (..., 4, 4)
+    is transformed state by state."""
+    arms = np.array([u_a, u_b], dtype=complex)  # both arms' u^dagger u - I in one stacked product
     dev = np.abs(arms.conj().swapaxes(-1, -2) @ arms - _PAULI[0]).max(axis=(-2, -1)).tolist()
     for name, d in zip(("u_a", "u_b"), dev):
         if not d <= 1e-10:  # written so that NaN fails too
             raise NonUnitary(f"{name} is not unitary within 1e-10")
-    u = tensor_product(u_a, u_b)
-    return u @ np.asarray(rho) @ u.conj().T
+    u = _matmul(arms[0, :, None, :, None], arms[1, None, :, None, :]).reshape(4, 4)  # u_a (x) u_b, one product an entry
+    return _matmul(_matmul(u, rho), u.conj().T)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex matrices a (..., n, k) and b (..., k, m), k < 8,
+    whose leading axes broadcast, with no BLAS and no complex multiply
+    (numpy's fuses its products on FMA CPUs): the real part of each entry is
+    sum_k a.re b.re - sum_k a.im b.im and the imaginary part
+    sum_k a.re b.im + sum_k a.im b.re, each sum of fewer than 8 terms added
+    to zero in k order by np.add.reduce, whatever the layout. The bits are
+    the same on every CPU and for any leading shape."""
+    a, b = (np.ascontiguousarray(x, dtype=complex).view(float).reshape(np.shape(x) + (2,)) for x in (a, b))
+    s = np.add.reduce(a[..., :, :, :, None, None] * b.swapaxes(-1, -2)[..., None, :, None, :, :], axis=-4)  # (..., n, 2, 2, m)
+    # [re.re - im.im, re.im + im.re] (..., n, 2, m), the pair axis moved last for the complex view
+    return np.ascontiguousarray((s[..., 0, :, :] + s[..., 1, ::-1, :] * [[-1.0], [1.0]]).swapaxes(-1, -2)).view(complex)[..., 0]
 
 
 def validate_density(m: np.ndarray, tol: float = 1e-10, eig_tol: float = 1e-8) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import optics
-from .algebra import apply_local_unitary, pure_to_density
+from .algebra import _matmul, apply_local_unitary, pure_to_density
 from .counts import (
     FULL_SETTINGS,
     KMODE_SETTINGS,
@@ -153,12 +153,10 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
     """Compose per-arm waveplate unitaries; HWPs apply first, then QWPs."""
     plates = [_parse_waveplate(t, "HWP") for t in args.hwp or []]
     plates += [_parse_waveplate(t, "QWP") for t in args.qwp or []]
-    if not plates:
-        return None
-    units = {"a": _EYE2, "b": _EYE2}
-    for arm, spec in plates:
-        units[arm] = waveplate_unitary(spec) @ units[arm]
-    return units["a"], units["b"]
+    units = {}
+    for arm, spec in plates:  # an arm's first plate is its unitary; each later plate multiplies it from the left
+        units[arm] = _matmul(waveplate_unitary(spec), units[arm]) if arm in units else waveplate_unitary(spec)
+    return (units.get("a", _EYE2), units.get("b", _EYE2)) if units else None
 
 
 def _prepared_kets(args, theta) -> np.ndarray:

@@ -34,6 +34,16 @@ is drawn one Generator at a time; a stack of ten or more tables, such as a
 sweep, is drawn in one array pass that runs numpy's PCG64 and Poisson
 samplers on all substreams at once, in block rounds by PCG64 jump-ahead
 (see sampler), so such a sweep does not import numpy.random.
+
+No BLAS call touches a state or a table. Every contraction, here and in
+measures' _g_terms and _k_terms, is an elementwise product summed by
+np.add.reduce, whose order numpy fixes in its source: fewer than 8 terms
+are added to zero in turn, whatever the memory layout, and the 16 terms of
+a setting probability or of a k projector expectation, which lie along the
+last, contiguous axis, are added pairwise. So the counts and every float
+computed from them are the same bits on every OpenBLAS kernel, and for a
+table alone as in a stack; only the fields read from an eigensolve or SVD
+are not (see README).
 """
 
 from __future__ import annotations
@@ -79,6 +89,8 @@ _ROW_PREFIX = tuple(f"{s.a},{s.b}," for s in FULL_SETTINGS)
 #: The joint projector |a b><a b| of every setting, in canonical order (6 * index(a) + index(b)).
 _LABEL_KETS = np.array([x.ket for x in _LABEL_ORDER])
 _PROJECTORS = pure_to_density(tensor_product(_LABEL_KETS, _LABEL_KETS))
+#: Each projector transposed and flattened (36, 16), as real and imaginary tables: tr(rho P) = sum_ij rho_ij P_ji.
+_W_RE, _W_IM = (np.ascontiguousarray(part(_PROJECTORS.swapaxes(-1, -2).reshape(36, 16))) for part in (np.real, np.imag))
 #: The largest mean numpy's Generator.poisson accepts, computed as numpy does.
 _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
@@ -177,18 +189,18 @@ def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> 
     [cfg.seed, o]. In a stack, the state at index (i, j, ...) draws from
     [w0, o] instead, where w0 is word 0 of SeedSequence([cfg.seed, i, j, ...]).
 
-    The probability of a setting is tr(rho P), one 4x4 matmul per (state,
-    setting), whose diagonal d is summed in numpy's pairwise order,
-    (d0 + d1) + (d2 + d3), on the real parts: the bits of
-    np.trace(...).real without its reduction call per matrix.
+    The probability of a setting is tr(rho P) = sum_k r_k W_k over the 16
+    entries r of rho and W of P transposed, each term r.real W.real -
+    r.imag W.imag, summed by np.add.reduce along its last, contiguous axis:
+    numpy's fixed pairwise order, the same on every CPU and BLAS kernel and
+    for a single state as for each state of a stack.
     """
     ords = [_ORDINAL[s] for s in settings]
     if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
     validate_density(rhos, eig_tol=1e-10)
-    d = (rhos[..., None, :, :] @ _PROJECTORS[ords]).real
-    d = d.reshape(d.shape[:-2] + (16,))
-    p = (d[..., 0] + d[..., 5]) + (d[..., 10] + d[..., 15])
+    r = rhos.reshape(rhos.shape[:-2] + (1, 16))
+    p = np.add.reduce(r.real * _W_RE[ords] - r.imag * _W_IM[ords], axis=-1)
     counts = cfg.n_per_setting * np.where(p > 0.0, p, 0.0)
     if cfg.noise == "poisson":
         seed = seed_states(cfg.seed, *np.indices(rhos.shape[:-2]))[..., :1] if rhos.ndim > 2 else cfg.seed
@@ -403,6 +415,10 @@ _MOMENTS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1
 _T_SOURCE = np.array(
     [12 * ((i or j or 1) - 1) + 4 * ((j or i or 1) - 1) + (i > 0) + 2 * (j > 0) for i, j in product(range(4), repeat=2)]
 )
+#: _delta's weight of outcome o of group g is sum_m _MOMENTS[m, o] df/dt_e over the moments m of g, e the entry
+#: of t read from moment m (_T_SOURCE). Each term (3, 3, 4 outcomes, 4 moments) as an index into the 49 values
+#: [df/dt, -df/dt, 0 x 17]: e, 32 where no entry of t reads moment m, plus 16 where _MOMENTS[m, o] = -1.
+_OUTCOME_TERMS = (np.bincount(_T_SOURCE[1:], np.arange(1, 16) - 32, 36) + 32).astype(np.intp).reshape(3, 3, 1, 4) + 16 * (_MOMENTS.T < 0)
 
 
 @functools.lru_cache
@@ -458,8 +474,9 @@ def _pauli_matrix(n: np.ndarray, settings: Iterable[Setting]) -> tuple[np.ndarra
     read = _layout(tuple(settings))[2]
     groups = n[..., _GROUP_SLOTS]
     with np.errstate(over="ignore", divide="ignore"):  # bad totals are marked below, not warned about
-        sums = groups @ _MOMENTS.T
-        inv = np.divide(1.0, sums[..., 0], out=np.zeros(sums.shape[:-1]), where=read)
+        sums = np.add.reduce(groups[..., None, :] * _MOMENTS, axis=-1)  # each moment times T
+        # 1/T in the memory layout of the sums, a stack's tables innermost, as _delta's products run fastest
+        inv = np.divide(1.0, sums[..., 0], out=np.zeros_like(sums[..., 0]), where=read)
     bad = read & ~((inv > 0.0) & (inv < np.inf))
     if bad.any():  # only here, so that readable tables pay no masked product
         sums[bad] = inv[bad] = 0.0
@@ -474,12 +491,13 @@ def _delta(groups: np.ndarray, inv: np.ndarray, grad_t: np.ndarray, exact: bool)
     totals and grad_t = df/dt (..., 4, 4). Zero when exact."""
     if exact:
         return np.zeros(inv.shape[:-2])
-    weights = np.zeros(grad_t.shape[:-2] + (36,))  # df/d(moment), laid out as the moments
-    weights[..., _T_SOURCE[1:]] = grad_t.reshape(grad_t.shape[:-2] + (16,))[..., 1:]
-    w = weights.reshape(groups.shape) @ _MOMENTS  # each outcome's weight
+    grad = grad_t.reshape(grad_t.shape[:-2] + (16,))
+    terms = np.concatenate([grad, -grad, np.zeros(grad.shape[:-1] + (17,))], axis=-1)[..., _OUTCOME_TERMS]
+    w = np.add.reduce(terms, axis=-1)  # each outcome's weight, summed over the moments from zero
     p = groups * inv[..., None]
     dev = w - (p * w).sum(axis=-1, keepdims=True)
-    return np.sqrt(((p * dev * dev).sum(axis=-1) * inv).sum(axis=(-2, -1)))
+    # the nine group terms in C order, so that numpy sums them pairwise whatever the layout of the stack
+    return np.sqrt(np.add.reduce(((p * dev * dev).sum(axis=-1) * inv).reshape(inv.shape[:-2] + (9,)).copy(), axis=-1))
 
 
 def _entry(table: CountsTable, settings: tuple[Setting, ...], i: int, j: int) -> EstimatedValue:

@@ -77,8 +77,8 @@ def _g_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cov = t[..., 1:, 1:] - a[..., :, None] * b[..., None, :]
     grad = np.zeros(t.shape)
     grad[..., 1:, 1:] = 2.0 * cov
-    grad[..., 1:, 0] = (-2.0 * cov @ b[..., :, None])[..., 0]
-    grad[..., 0, 1:] = (-2.0 * a[..., None, :] @ cov)[..., 0, :]
+    grad[..., 1:, 0] = -2.0 * np.add.reduce(cov * b[..., None, :], axis=-1)
+    grad[..., 0, 1:] = -2.0 * np.add.reduce(a[..., :, None] * cov, axis=-2)
     return np.sum(cov * cov, axis=(-2, -1)), cov, grad
 
 
@@ -305,9 +305,9 @@ def _k_terms(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     |00><11| + h.c. = (XX - YY) / 2 and |01><10| + h.c. = (XX + YY) / 2.
     """
     proj = _k_projection(a, b)
-    m = (proj @ t.reshape(t.shape[:-2] + (16, 1)))[..., 0]
+    m = np.add.reduce(proj * t.reshape(t.shape[:-2] + (1, 16)), axis=-1)
     k = np.sum(m - m * m, axis=-1)
-    grad = ((1.0 - 2.0 * m)[..., None, :] @ proj).reshape(m.shape[:-1] + (4, 4))
+    grad = np.add.reduce((1.0 - 2.0 * m)[..., :, None] * proj, axis=-2).reshape(m.shape[:-1] + (4, 4))
     return np.where(k > 0.0, k, 0.0), m, grad  # max(0, k): noise or rounding can leave k < 0
 
 

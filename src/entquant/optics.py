@@ -120,6 +120,10 @@ def waveplate_unitary(w: WaveplateSpec) -> np.ndarray:
 
 #: Identity and the dephasing Pauli of each ChannelSpec basis, stacked (2, 2, 2).
 _DEPHASING_PAULIS = {b: np.array([pauli_operator(0), pauli_operator(i)]) for b, i in (("x", 1), ("z", 3))}
+#: Row i of each joint Kraus term k_a (x) k_b has one nonzero entry, in column c_i: c (4 terms, 4 rows) of each
+#: basis, and the flat index 4 c_i + c_l of rho[c_i, c_l] for each term and entry (i, l), (4, 4, 4).
+_KRAUS_COLUMNS = {b: np.argmax(tensor_product(m, m) != 0, axis=-1) for b, m in _DEPHASING_PAULIS.items()}
+_KRAUS_GATHER = {b: 4 * c[:, :, None] + c[:, None, :] for b, c in _KRAUS_COLUMNS.items()}
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,20 @@ class ChannelSpec:
 
 
 def phase_damping(rho: np.ndarray, chan: ChannelSpec) -> np.ndarray:
-    """Apply the two-arm phase-damping channel: all four joint Kraus terms
-    k_a (x) k_b, stacked (4, 4, 4), in one product, summed from zero in the
-    order (a, b) = (0, 0), (0, 1), (1, 0), (1, 1). A stack of states
-    (..., 4, 4) is damped state by state."""
-    local = chan.local_kraus()
-    k = tensor_product(local, local)
-    terms = k @ np.asarray(rho)[..., None, :, :] @ k.conj().swapaxes(-1, -2)
-    return np.add.reduce(terms, axis=-3, initial=0.0)
+    """Apply the two-arm phase-damping channel: the four joint Kraus terms
+    k rho k^dagger, k = k_a (x) k_b, summed from zero in the order
+    (a, b) = (0, 0), (0, 1), (1, 0), (1, 1). A stack of states (..., 4, 4)
+    is damped state by state.
+
+    Each row i of k has one nonzero entry v_i, in column c_i, so
+    (k rho k^dagger)[i, l] = (v_i rho[c_i, c_l]) v_l^*: a gather and two
+    elementwise products in place of two matrix products, with no BLAS.
+    A matrix product's zero terms change no bit of a sum from zero, and v is
+    real, so each part of a product is one rounded real product on every
+    CPU: the bits are those of the matrix products."""
+    v = tensor_product(chan.local_kraus(), chan.local_kraus()).sum(axis=-1, keepdims=True)  # v_i of each term (4, 4, 1)
+    gathered = np.take(np.reshape(rho, np.shape(rho)[:-2] + (16,)), _KRAUS_GATHER[chan.basis], axis=-1)  # rho[c_i, c_l]
+    return np.add.reduce(v * gathered * v.swapaxes(-1, -2).conj(), axis=-3, initial=0.0)
 
 
 def basis_projector(x: BasisLabel) -> np.ndarray:
