@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -108,14 +110,22 @@ def _naming(path: str, exc: Exception) -> Exception:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """text, ending in a newline, on stdout or in the file out. An existing
+    regular file is rewritten in place and cut to the new length, so it keeps
+    its inode, links, owner and mode (truncating it to zero first, as O_TRUNC
+    does, makes ext4 start its writeback at close); any other target, such as
+    /dev/null or a FIFO, is written as a stream."""
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {out}: {exc}") from None
+        sys.stdout.write(text)
+        return
+    try:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not seekable(): /dev/null is, and cannot be truncated
+                fh.truncate()
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 def _emit_report(report: dict, out: str | None) -> None:

@@ -79,7 +79,8 @@ def _g_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grad[..., 1:, 1:] = 2.0 * cov
     grad[..., 1:, 0] = -2.0 * np.add.reduce(cov * b[..., None, :], axis=-1)
     grad[..., 0, 1:] = -2.0 * np.add.reduce(a[..., :, None] * cov, axis=-2)
-    return np.sum(cov * cov, axis=(-2, -1)), cov, grad
+    # summed as one contiguous run of nine, in one order whatever the layout of t
+    return np.add.reduce(np.ascontiguousarray(cov * cov).reshape(cov.shape[:-2] + (9,)), axis=-1), cov, grad
 
 
 @dataclass

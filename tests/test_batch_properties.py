@@ -105,6 +105,16 @@ def test_estimates_and_error_bars(spec):
         assert np.array_equal(dg[i], _delta(gi, invi, grad1, exact))
 
 
+@SETTINGS
+@hypothesis.given(stacks)
+def test_g_of_a_stack_with_its_tables_innermost(rhos):
+    t = pauli_expectation_matrix(rhos)
+    inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 0, -1)), -1, 0)  # the same values, tables innermost
+    assert not inner.flags.c_contiguous or len(rhos) == 1
+    g = _g_terms(inner)[0]
+    assert_same_bits(g, np.array([_g_terms(ti)[0] for ti in t]))
+
+
 #: Schmidt coefficients: (cos 2t, sin 2t) as sweep-k makes them, any
 #: normalized pair, the pairs where a term is exactly 0, and one where ab/2
 #: underflows to a signed zero.

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -649,6 +652,92 @@ class TestCliContract:
         assert run_cli(*spec, "--out", str(fresh)).returncode == 0
         assert second.read_bytes() == fresh.read_bytes()
         assert first.read_bytes() != fresh.read_bytes()
+
+
+#: One invocation of each verb, all of which take --out.
+_VERBS = [
+    ("analyze", BLOCK1, "--tomo", "--theta", "22.5"),
+    ("simulate", "--family", "parallel", "--theta", "10", "--noise", "poisson", "--seed", "4"),
+    ("sweep-g", "--steps", "5", "--noise", "poisson", "--seed", "4", "--n", "500"),
+    ("sweep-k", "--steps", "5", "--noise", "exact"),
+    ("ilut-check", BLOCK1, BLOCK2),
+    ("tomo", BLOCK1, "--reference", "singlet"),
+]
+_FULL = ("simulate", "--family", "parallel", "--theta", "10")
+_KMODE = (*_FULL, "--settings", "kmode")
+
+
+class TestOutFile:
+    """--out writes the bytes that stdout gets. An existing regular file is
+    rewritten in place and cut to the new length; other targets are streams."""
+
+    @pytest.mark.parametrize("verb", _VERBS, ids=[v[0] for v in _VERBS])
+    def test_out_file_gets_the_stdout_bytes(self, capsys, tmp_path, verb):
+        want = run_in_process(capsys, *verb)
+        assert want.endswith("\n") and not want.endswith("\n\n")
+        out = tmp_path / "out"
+        assert run_in_process(capsys, *verb, "--out", str(out)) == ""
+        assert out.read_bytes() == want.encode()
+
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, capsys, tmp_path):
+        out = tmp_path / "sim.csv"
+        out.write_bytes(b"x" * 100_000)
+        full, kmode = run_in_process(capsys, *_FULL).encode(), run_in_process(capsys, *_KMODE).encode()
+        assert len(kmode) < len(full) < 100_000
+        run_in_process(capsys, *_FULL, "--out", str(out))
+        assert out.read_bytes() == full
+        run_in_process(capsys, *_KMODE, "--out", str(out))
+        assert out.read_bytes() == kmode
+
+    def test_rewrite_keeps_the_inode_and_hard_links(self, capsys, tmp_path):
+        out, link = tmp_path / "sim.csv", tmp_path / "link.csv"
+        out.write_bytes(b"x" * 5000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        run_in_process(capsys, *_KMODE, "--out", str(out))
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == out.read_bytes() == run_in_process(capsys, *_KMODE).encode()
+
+    def test_out_through_a_symlink_rewrites_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * 5000)
+        link.symlink_to(target)
+        run_in_process(capsys, *_KMODE, "--out", str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == run_in_process(capsys, *_KMODE).encode()
+
+    def test_existing_file_keeps_its_mode_and_a_new_one_gets_the_umask(self, capsys, tmp_path):
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_bytes(b"x" * 5000)
+        kept.chmod(0o640)
+        old = os.umask(0o027)
+        try:
+            run_in_process(capsys, *_KMODE, "--out", str(kept))
+            run_in_process(capsys, *_KMODE, "--out", str(fresh))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("verb", [_KMODE, _VERBS[0]], ids=["simulate", "analyze"])
+    def test_out_dev_null_exits_0(self, capsys, verb):
+        assert run_in_process(capsys, *verb, "--out", os.devnull) == ""
+
+    def test_out_dev_stdout_writes_stdout(self):
+        proc = run_cli(*_KMODE, "--out", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*_KMODE).stdout
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_out_fifo_is_written_as_a_stream(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_in_process(capsys, *_FULL, "--out", str(fifo)) == ""
+        reader.join(timeout=60)
+        assert got == [run_in_process(capsys, *_FULL).encode()]
 
 
 def _point_seed(seed, *indices):
