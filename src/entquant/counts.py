@@ -91,6 +91,10 @@ _LABEL_KETS = np.array([x.ket for x in _LABEL_ORDER])
 _PROJECTORS = pure_to_density(tensor_product(_LABEL_KETS, _LABEL_KETS))
 #: Each projector transposed and flattened (36, 16), as real and imaginary tables: tr(rho P) = sum_ij rho_ij P_ji.
 _W_RE, _W_IM = (np.ascontiguousarray(part(_PROJECTORS.swapaxes(-1, -2).reshape(36, 16))) for part in (np.real, np.imag))
+#: States per block of _simulate's probabilities. A block's (16, 36, 16) float
+#: temporaries take 72 KiB each, below glibc's 128 KiB mmap threshold, so they
+#: are reused from the heap instead of mapped and faulted in anew on each call.
+_PROBABILITY_BLOCK = 16
 #: The largest mean numpy's Generator.poisson accepts, computed as numpy does.
 _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
@@ -193,14 +197,21 @@ def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> 
     entries r of rho and W of P transposed, each term r.real W.real -
     r.imag W.imag, summed by np.add.reduce along its last, contiguous axis:
     numpy's fixed pairwise order, the same on every CPU and BLAS kernel and
-    for a single state as for each state of a stack.
+    for a single state as for each state of a stack. The flattened stack is
+    taken _PROBABILITY_BLOCK states at a time, so the (block, S, 16) product
+    temporaries stay small whatever the stack's size; each probability still
+    sums its own 16 terms, so the block edges move no bit.
     """
     ords = [_ORDINAL[s] for s in settings]
     if not np.isfinite(rhos).all():  # checked before the product, so no numpy warning leaks out
         raise ValueError("state is not finite")
     validate_density(rhos, eig_tol=1e-10)
-    r = rhos.reshape(rhos.shape[:-2] + (1, 16))
-    p = np.add.reduce(r.real * _W_RE[ords] - r.imag * _W_IM[ords], axis=-1)
+    r, w_re, w_im = rhos.reshape(-1, 1, 16), _W_RE[ords], _W_IM[ords]
+    p = np.empty((len(r), len(ords)))
+    for i in range(0, len(r), _PROBABILITY_BLOCK):
+        b = r[i : i + _PROBABILITY_BLOCK]
+        np.add.reduce(b.real * w_re - b.imag * w_im, axis=-1, out=p[i : i + _PROBABILITY_BLOCK])
+    p = p.reshape(rhos.shape[:-2] + (len(ords),))
     counts = cfg.n_per_setting * np.where(p > 0.0, p, 0.0)
     if cfg.noise == "poisson":
         seed = seed_states(cfg.seed, *np.indices(rhos.shape[:-2]))[..., :1] if rhos.ndim > 2 else cfg.seed

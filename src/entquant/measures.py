@@ -5,12 +5,16 @@ The central object is the covariance of a Pauli pair,
     C(i, j) = <s_i (x) s_j> - <s_i (x) I><I (x) s_j>,
 
 summed in squares over the nine pairs to give the measure g = sum C(i,j)^2.
-For pure states g relates to the concurrence c by g = c^2 (c^2 + 2); for
-mixed states g acts as a witness bracketed by c^2(c^2+2) <= g <= 2c^2 + 1
-(tested empirically, not asserted). The module also provides the
-local-uncertainty variance sum, a closed form in the same marginals and
-covariance matrix (see lur_sum), and the nonlocal variance measure k built
-from four projectors onto a Schmidt-form basis.
+For pure states g relates to the concurrence c by g = c^2 (c^2 + 2). On
+mixed states neither side of the bracket c^2(c^2+2) <= g <= 2c^2 + 1 is a
+theorem. The upper side has been searched but not proved. The lower side is
+false: rho(p) = p|00><00| + (1 - p)|psi><psi|, with
+|psi> = |00>/sqrt(2) + (|01> + |10>)/2, has c = (1 - p)/2, and at p = 1/2
+c = 1/4 and g = 25/256, below c^2(c^2+2) = 33/256 (see mixed_state_bounds).
+
+The module also provides the local-uncertainty variance sum, a closed form
+in the same marginals and covariance matrix (see lur_sum), and the nonlocal
+variance measure k built from four projectors onto a Schmidt-form basis.
 
 The separable bound g <= 1 is proved. Write a separable state as
 rho = sum_k p_k rho_k^A (x) rho_k^B, with Bloch vectors x_k, y_k of mean
@@ -166,8 +170,12 @@ def concurrence_from_g(g: float | np.ndarray) -> float | np.ndarray:
 def mixed_state_bounds(rho: np.ndarray) -> tuple[float, float, float]:
     """(c^2(c^2+2), g, 2c^2+1) with c the concurrence of rho.
 
-    The ordering lower <= g <= upper is a witness property without a known
-    general proof; callers and tests assert it, this function does not.
+    The lower side equals g on pure states, and this function asserts no
+    ordering. On mixed states g <= 2c^2 + 1 held in every search so far
+    but is not proved. The lower side is false: on the rank-2 family
+    rho(p) = p|00><00| + (1 - p)|psi><psi|, with
+    |psi> = |00>/sqrt(2) + (|01> + |10>)/2, g lies below c^2(c^2+2) at
+    every p tried in (0, 1); rho(1/2) gives (33/256, 25/256, 9/8).
     """
     c = concurrence(rho)
     g = g_measure(rho).g

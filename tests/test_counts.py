@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -254,6 +255,18 @@ class TestSimulateStacks:
         got = _simulate(rhos, KMODE_SETTINGS, SimConfig(500))
         for i, j in product(range(2), range(3)):
             assert got[i, j].tolist() == canonical(simulate_counts(rhos[i, j], KMODE_SETTINGS, SimConfig(500)))
+
+    @pytest.mark.parametrize("settings", [FULL_SETTINGS, KMODE_SETTINGS], ids=["full", "kmode"])
+    def test_stack_probabilities_take_no_stack_sized_product(self, settings):
+        # the (4096, 36, 16) product of a whole 4096-state stack is 18.9 MB, and two are live at once
+        rhos = np.tile(self.stack((8,)), (512, 1, 1))
+        tracemalloc.start()
+        try:
+            _simulate(rhos, settings, SimConfig(500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("rho", [np.stack([np.eye(4) / 4] * 3), np.eye(2) / 2], ids=["stack", "2x2"])
     def test_simulate_counts_takes_one_4x4_state(self, rho):

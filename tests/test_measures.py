@@ -249,6 +249,18 @@ class TestMixedStateBounds:
         assert concurrence(rho) == pytest.approx(0.25, abs=1e-9)
         assert lower - 1e-9 <= g <= upper + 1e-9
 
+    def test_lower_side_fails_on_a_rank_two_mixture(self):
+        # rho(1/2) = |00><00|/2 + |psi><psi|/2 with psi = |00>/sqrt(2) + (|01> + |10>)/2:
+        # c = 1/4, and g = 25/256 lies below c^2(c^2+2) = 33/256
+        psi = np.array([1 / np.sqrt(2), 0.5, 0.5, 0.0], dtype=complex)
+        rho = 0.5 * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) + 0.5 * np.outer(psi, psi.conj())
+        lower, g, upper = mixed_state_bounds(rho)
+        assert concurrence(rho) == pytest.approx(0.25, abs=1e-12)
+        assert lower == pytest.approx(33 / 256, abs=1e-12)
+        assert g == pytest.approx(25 / 256, abs=1e-12)
+        assert upper == pytest.approx(9 / 8, abs=1e-12)
+        assert g < lower
+
 
 class TestLurSum:
     def _expected_sum(self, rho):

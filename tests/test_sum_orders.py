@@ -106,8 +106,10 @@ members = st.one_of(
         st.booleans(),
     ).map(lambda a: sweep_states(a[0], np.array(a[1]), *a[2:])),
 )
-#: A single state (), a stack (B,) or a stack of two leading axes (B1, B2).
-shapes = st.sampled_from([(), (1,), (2,), (7,), (12,), (2, 3), (3, 5)])
+#: A single state (), a stack (B,) or a stack of two leading axes (B1, B2);
+#: (17,) and (3, 11) span two and three of _simulate's blocks of 16 states,
+#: the last one ragged.
+shapes = st.sampled_from([(), (1,), (2,), (7,), (12,), (2, 3), (3, 5), (17,), (3, 11)])
 stacks = shapes.flatmap(
     lambda shape: st.lists(members, min_size=math.prod(shape), max_size=math.prod(shape)).map(
         lambda ms: np.stack(ms).reshape(shape + (4, 4))
