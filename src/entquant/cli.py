@@ -104,10 +104,11 @@ def _read_estimate(path: str, estimator, unreadable: str | None = None) -> tuple
         raise _naming(path, exc) from None
 
 
-def _naming(path: str, exc: Exception) -> Exception:
-    """exc, an error about the content of the counts file path, with its
-    message after "<path>: "; its type, and so the exit code, stays."""
-    return type(exc)(f"{path}: {exc}")
+def _naming(where: str, exc: Exception) -> Exception:
+    """exc, an error about the content of the counts file or the value of
+    the flag named where, with its message after "<where>: "; its type, and
+    so the exit code, stays."""
+    return type(exc)(f"{where}: {exc}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -141,11 +142,17 @@ def _clamped_c_from_g(g):
 
 
 def _parse_damp(text: str) -> ChannelSpec:
+    """The --damp channel. A malformed flag is reported as such; a basis or
+    probability out of range, as ChannelSpec words it, after "--damp: "."""
+    basis, _, p_text = text.partition(":")
     try:
-        basis, p_text = text.split(":", 1)
-        return ChannelSpec(basis=basis, p=float(p_text))
-    except (ValueError, TypeError):
+        p = float(p_text)  # without a colon p_text is "", which float rejects too
+    except ValueError:
         raise ValueError(f"--damp expects x:<p> or z:<p>, got {text!r}") from None
+    try:
+        return ChannelSpec(basis=basis, p=p)
+    except ValueError as exc:
+        raise _naming("--damp", exc) from None
 
 
 def _parse_waveplate(text: str, kind: str) -> tuple[str, WaveplateSpec]:

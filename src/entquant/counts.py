@@ -28,12 +28,8 @@ mask and read as a group outside the settings. _estimate, and so every
 public estimator, raises ValueError naming the first such group of its
 table; the sweeps write nan for the tables the mask marks.
 
-Poisson counts are numpy's Generator(PCG64).poisson bit for bit, each
-setting of each table on its own substream (see _simulate). A single table
-is drawn one Generator at a time; a stack of ten or more tables, such as a
-sweep, is drawn in one array pass that runs numpy's PCG64 and Poisson
-samplers on all substreams at once, in block rounds by PCG64 jump-ahead
-(see sampler), so such a sweep does not import numpy.random.
+Poisson counts are drawn by sampler.poisson_counts, which states how each
+count is seeded and drawn; _simulate imports it only under Poisson noise.
 
 No BLAS call touches a state or a table. Every contraction, here and in
 measures' _g_terms and _k_terms, is an elementwise product summed by
@@ -189,9 +185,8 @@ def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> 
     """Canonical counts (..., 36) of one state or a stack of states
     rhos (..., 4, 4), at the given settings and zero elsewhere.
 
-    Poisson count o of a single state draws from the substream of key
-    [cfg.seed, o]. In a stack, the state at index (i, j, ...) draws from
-    [w0, o] instead, where w0 is word 0 of SeedSequence([cfg.seed, i, j, ...]).
+    Under Poisson noise, each count is one sampler.poisson_counts draw on
+    its own substream, keyed by the state's index and the setting's ordinal.
 
     The probability of a setting is tr(rho P) = sum_k r_k W_k over the 16
     entries r of rho and W of P transposed, each term r.real W.real -
@@ -214,126 +209,13 @@ def _simulate(rhos: np.ndarray, settings: Iterable[Setting], cfg: SimConfig) -> 
     p = p.reshape(rhos.shape[:-2] + (len(ords),))
     counts = cfg.n_per_setting * np.where(p > 0.0, p, 0.0)
     if cfg.noise == "poisson":
-        seed = seed_states(cfg.seed, *np.indices(rhos.shape[:-2]))[..., :1] if rhos.ndim > 2 else cfg.seed
+        from .sampler import poisson_counts
+
         # p can pass 1 by rounding; no mean may pass numpy's limit
-        counts = _poisson(np.minimum(counts, _POISSON_MAX), seed_states(seed, np.array(ords)))
+        counts = poisson_counts(np.minimum(counts, _POISSON_MAX), cfg.seed, ords)
     n = np.zeros(counts.shape[:-1] + (len(FULL_SETTINGS),))
     n[..., ords] = counts
     return n
-
-
-#: Draws from which _poisson runs one array pass instead of one Generator per
-#: draw (ten 36-setting tables). On a 2-core x86-64 host (numpy 2.4) the loop
-#: costs about 2 us a draw, and the array pass, in block rounds, 0.4-0.5 ms
-#: for 144 to 504 draws of random states or of a sweep-g grid: they break
-#: even near 200-250 draws.
-_POISSON_ARRAY_MIN = 360
-
-
-def _poisson(means: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One Poisson draw per mean, each numpy's Generator(PCG64).poisson bit
-    for bit, from a PCG64 seeded with its own four SeedSequence state words.
-
-    Fewer than _POISSON_ARRAY_MIN draws are made one Generator at a time;
-    numpy.random is imported for them here, not at module import, since it
-    costs 13-18 ms that runs without Poisson noise need not pay. More are
-    made by sampler.poisson_array in one array pass, without numpy.random;
-    sampler too is imported only here, so single-table runs never load it.
-    """
-    if means.size >= _POISSON_ARRAY_MIN:
-        from .sampler import poisson_array
-
-        return poisson_array(means.ravel(), states.reshape(-1, 4)).reshape(means.shape)
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StateWords)
-    draws = [Generator(PCG64(_StateWords(w))).poisson(m) for m, w in zip(means.ravel().tolist(), states.reshape(-1, 4))]
-    return np.array(draws, dtype=float).reshape(means.shape)
-
-
-class _StateWords:
-    """An ISeedSequence that hands PCG64 a precomputed generate_state(4, np.uint64)."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def seed_states(*key) -> np.ndarray:
-    """np.random.SeedSequence([k0, k1, ...]).generate_state(4, np.uint64) for
-    every key of the broadcast parts k0, k1, ..., bit for bit: shape (..., 4).
-
-    A part is a nonnegative int of any size or an array of nonnegative
-    integers below 2**64. SeedSequence takes each value as its little-endian
-    32-bit words, zero as one word; word 0 of the result is
-    generate_state(1, np.uint64), since generate_state is prefix-consistent.
-    """
-    shape = np.broadcast_shapes(*(np.shape(p) for p in key))
-    words = []  # (32-bit word, whether the key has it: True for every key, or an array)
-    for part in key:
-        if np.ndim(part) == 0 and operator.index(part) >= 0:
-            part = operator.index(part)
-            words += [(part >> s & 0xFFFFFFFF, True) for s in range(0, max(part.bit_length(), 1), 32)]
-        elif np.ndim(part) and (np.asarray(part) >= 0).all():
-            part = np.asarray(part).astype(np.uint64)
-            words.append((part.astype(np.uint32), True))
-            if (high := part >> 32).any():
-                words.append((high.astype(np.uint32), True if high.all() else high > 0))
-        else:
-            raise ValueError(f"seed must be a nonnegative integer, got {part!r}")
-    entropy = np.empty((len(words),) + shape, dtype=np.uint32)
-    for i, (word, _) in enumerate(words):
-        entropy[i] = word
-    entropy = entropy.reshape(len(words), -1)
-    if all(has is True for _, has in words):  # every key has the same words, as in sweeps and single tables
-        return _seed_pool(entropy).reshape(shape + (4,))
-    have = np.stack([np.broadcast_to(has, shape) for _, has in words]).reshape(len(words), -1)
-    entropy = np.take_along_axis(entropy, np.argsort(~have, axis=0, kind="stable"), axis=0)
-    length = have.sum(axis=0)
-    out = np.empty((length.size, 4), dtype=np.uint64)
-    for size in np.flatnonzero(np.bincount(length)):
-        out[length == size] = _seed_pool(entropy[:size, length == size])
-    return out.reshape(shape + (4,))
-
-
-@functools.lru_cache
-def _hash_consts(c: int, mult: int, n: int) -> np.ndarray:
-    """SeedSequence's hash constants c * mult**j mod 2**32, j = 0..n, as a
-    read-only column, since every call shares it."""
-    consts = np.array([c * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(n + 1)], dtype=np.uint32)[:, None]
-    consts.flags.writeable = False
-    return consts
-
-
-def _hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
-    v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
-    return v ^ v >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return r ^ r >> np.uint32(16)
-
-
-def _seed_pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool mixing and generate_state(4, np.uint64) for each
-    column of the (L, K) uint32 entropy: (K, 4) uint64. Hash call j xors with
-    constant j and multiplies by constant j + 1 whatever it hashes, so calls
-    that do not depend on one another run as one array operation."""
-    c = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
-    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
-    pool[: len(entropy)] = entropy[:4]
-    pool = _hashmix(pool, c, 0)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * 3], c, 4 + 3 * src))
-    for i, word in enumerate(entropy[4:]):
-        pool = _mix(pool, _hashmix(np.stack([word] * 4), c, 16 + 4 * i))
-    v = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
-    return np.ascontiguousarray((v[0::2] | v[1::2] << np.uint64(32)).T)  # PCG64 reads its state words' raw buffer
 
 
 # ---------------------------------------------------------------------------

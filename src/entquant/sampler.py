@@ -1,12 +1,19 @@
-"""numpy's Generator(PCG64).poisson as array code over many streams at once.
+"""Poisson counts on numpy's seeded substreams, bit for bit.
 
-counts draws a large stack of Poisson counts here, each on the PCG64 stream
-that numpy would seed from the count's four SeedSequence state words, and
-gets the integers numpy's per-draw Generator gives, bit for bit. The module
-is imported only for such a stack, so single-table runs neither load nor
-compile it.
+Count o of a table is numpy's Generator(PCG64(SeedSequence(key))).poisson
+of its mean, with key [seed, o] for a single table and [w0, o] for the
+table at index (i, j, ...) of a stack, where w0 is word 0 of
+SeedSequence([seed, i, j, ...]). poisson_counts is the module's one entry
+point. It derives each key's four SeedSequence state words with
+seed_states, SeedSequence's hashing as array code, and then draws fewer
+than _POISSON_ARRAY_MIN counts one Generator at a time, handing PCG64 the
+words, and more in one array pass, poisson_array, that runs numpy's PCG64
+and Poisson samplers on every substream at once. counts imports this
+module only under Poisson noise, and numpy.random is imported only for the
+per-draw loop: exact-noise runs and the reading verbs load neither, and a
+Poisson sweep of eight or more points never imports numpy.random.
 
-The stack is drawn in rounds, each over the streams not yet done. A round
+The array pass draws in rounds, each over the streams not yet done. A round
 costs about the same whether it serves 40 streams or 1,500, so the small
 sets that need many draws, the multiplication method's streams and PTRS's
 stragglers after its first round, draw in blocks: a stream's next n states
@@ -21,9 +28,119 @@ rejection (Insurance: Math. Econ. 12, 39, 1993) from 10 on.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
+
+#: Draws from which poisson_counts runs one array pass instead of one
+#: Generator per draw: eight 36-setting tables, where the two break even. On
+#: a 2-core x86-64 host (numpy 2.4; timeit on sweep-g grids, min of 7, three
+#: runs) the array pass's time minus the loop's was +209 to +243 us at 216
+#: draws and a flux of 50 (-118 to +88 us at 5000), +49 to +73 us at 288
+#: draws (-75 to -5 us at 5000) and -84 to -26 us at 360 (-196 to -152 us).
+_POISSON_ARRAY_MIN = 288
+
+
+def poisson_counts(means: np.ndarray, seed: int, ords: np.ndarray | list[int]) -> np.ndarray:
+    """One Poisson count per mean (..., S), count [..., s] keyed by the
+    setting ordinal ords[s] as the module docstring states: a 1-d means is
+    one table, seeded from seed, and a stack's table at index (i, j, ...)
+    from word 0 of [seed, i, j, ...]. Counts are floats."""
+    key = seed_states(seed, *np.indices(means.shape[:-1]))[..., :1] if means.ndim > 1 else seed
+    states = seed_states(key, np.asarray(ords))
+    if means.size >= _POISSON_ARRAY_MIN:
+        return poisson_array(means.ravel(), states.reshape(-1, 4)).reshape(means.shape)
+    from numpy.random import PCG64, Generator, bit_generator
+
+    bit_generator.ISeedSequence.register(_StateWords)
+    draws = [Generator(PCG64(_StateWords(w))).poisson(m) for m, w in zip(means.ravel().tolist(), states.reshape(-1, 4))]
+    return np.array(draws, dtype=float).reshape(means.shape)
+
+
+class _StateWords:
+    """An ISeedSequence that hands PCG64 a precomputed generate_state(4, np.uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seed_states(*key) -> np.ndarray:
+    """np.random.SeedSequence([k0, k1, ...]).generate_state(4, np.uint64) for
+    every key of the broadcast parts k0, k1, ..., bit for bit: shape (..., 4).
+
+    A part is a nonnegative int of any size or an array of nonnegative
+    integers below 2**64. SeedSequence takes each value as its little-endian
+    32-bit words, zero as one word; word 0 of the result is
+    generate_state(1, np.uint64), since generate_state is prefix-consistent.
+    SeedSequence mixes a key of fewer than four words as if zero words
+    followed it, so a shorter key is hashed padded with them. An array part
+    with values on both sides of 2**32 gives keys of uneven word counts,
+    such as the [w0, o] keys of a stack; each is at most four words long,
+    and is hashed with its absent words, which are zero, moved last.
+    """
+    shape = np.broadcast_shapes(*(np.shape(p) for p in key))
+    words = []  # (32-bit word, whether the key has it: True for every key, or an array)
+    for part in key:
+        if np.ndim(part) == 0 and (part := operator.index(part)) >= 0:
+            words += [(part >> s & 0xFFFFFFFF, True) for s in range(0, max(part.bit_length(), 1), 32)]
+        elif np.ndim(part) and (np.asarray(part) >= 0).all():
+            part = np.asarray(part).astype(np.uint64)
+            words.append((part.astype(np.uint32), True))
+            if (high := part >> 32).any():
+                words.append((high.astype(np.uint32), True if high.all() else high > 0))
+        else:
+            raise ValueError(f"seed must be a nonnegative integer, got {part!r}")
+    entropy = np.zeros((max(len(words), 4),) + shape, dtype=np.uint32)
+    for i, (word, _) in enumerate(words):
+        entropy[i] = word
+    entropy = entropy.reshape(len(entropy), -1)
+    if not all(has is True for _, has in words):  # uneven keys: a stack's, when its w0 words straddle 2**32
+        assert len(words) <= 4, "keys of uneven word counts must be at most four words long"
+        have = np.stack([np.broadcast_to(has, shape) for _, has in words]).reshape(len(words), -1)
+        entropy[: len(have)] = np.take_along_axis(entropy[: len(have)], np.argsort(~have, axis=0, kind="stable"), axis=0)
+    return _seed_pool(entropy).reshape(shape + (4,))
+
+
+@functools.lru_cache
+def _hash_consts(c: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's hash constants c * mult**j mod 2**32, j = 0..n, as a
+    read-only column, since every call shares it."""
+    consts = np.array([c * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(n + 1)], dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
+    v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ r >> np.uint32(16)
+
+
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool mixing and generate_state(4, np.uint64) for each
+    column of the (L, K) uint32 entropy, L >= 4 words: (K, 4) uint64. Hash
+    call j xors with constant j and multiplies by constant j + 1 whatever it
+    hashes, so calls that do not depend on one another run as one array
+    operation."""
+    c = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], c, 0)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * 3], c, 4 + 3 * src))
+    for i, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(np.stack([word] * 4), c, 16 + 4 * i))
+    v = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
+    return np.ascontiguousarray((v[0::2] | v[1::2] << np.uint64(32)).T)  # PCG64 reads its state words' raw buffer
+
 
 # Every 64-bit word stays an np.uint64: under numpy 1.x a Python-int operand
 # would turn a uint64 scalar into a float64.

@@ -254,9 +254,23 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
-    def test_bad_damp_flag(self):
-        proc = run_cli("simulate", "--family", "parallel", "--theta", "10", "--damp", "y:0.5")
-        assert proc.returncode == 2
+    @pytest.mark.parametrize(
+        "damp, fault",
+        [
+            ("z:1.5", "--damp: damping probability must be in [0, 1], got 1.5"),
+            ("z:-0.1", "--damp: damping probability must be in [0, 1], got -0.1"),
+            ("z:nan", "--damp: damping probability must be in [0, 1], got nan"),
+            ("y:0.5", "--damp: channel basis must be 'x' or 'z', got 'y'"),
+            ("z", "--damp expects x:<p> or z:<p>, got 'z'"),
+            ("z:abc", "--damp expects x:<p> or z:<p>, got 'z:abc'"),
+        ],
+        ids=["above-1", "below-0", "nan", "basis-y", "no-colon", "not-a-number"],
+    )
+    def test_bad_damp_flag(self, capsys, damp, fault):
+        """A malformed flag is named as such, and a well-formed one with a
+        basis or probability out of range by that fault."""
+        assert cli.main(["simulate", "--family", "parallel", "--theta", "10", "--damp", damp]) == 2
+        assert capsys.readouterr() == ("", f"error: {fault}\n")
 
     @pytest.mark.parametrize("family", ["parallel", "antiparallel"])
     def test_preparer_is_looked_up_on_optics_per_call(self, monkeypatch, capsys, family):
@@ -903,10 +917,11 @@ class TestLowFluxSweeps:
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    """Importing the CLI and reading tables, as a cold single-table run does,
-    loads neither numpy.random nor the Poisson array sampler."""
+    """Importing the CLI, reading tables and simulating without noise, as a
+    cold single-table run does, loads neither numpy.random nor the sampler."""
     runs = [["analyze", BLOCK1, "--tomo", "--theta", "22.5"], ["tomo", BLOCK1, "--reference", "singlet"],
-            ["ilut-check", BLOCK1, BLOCK2]]
+            ["ilut-check", BLOCK1, BLOCK2], ["simulate", "--family", "parallel", "--theta", "10"],
+            ["sweep-g", "--steps", "46"], ["sweep-k"]]
     code = (
         "import contextlib, io, sys, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
@@ -922,15 +937,18 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out == ["False", "False", "False", "False"]
 
 
+@pytest.mark.parametrize("steps", [[], ["--steps", "8"]], ids=["default", "8-points"])
 @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
-def test_poisson_sweep_leaves_numpy_random_unloaded(verb):
+def test_poisson_sweep_leaves_numpy_random_unloaded(verb, steps):
+    """A Poisson sweep of eight points or more (288 draws) is drawn in one
+    array pass, so it loads the sampler but not numpy.random."""
     code = (
         "import contextlib, io, sys, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
         "from entquant import cli\n"
         "lazy = 'entquant.sampler' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['{verb}', '--noise', 'poisson']) == 0\n"
+        f"    assert cli.main({[verb, '--noise', 'poisson', *steps]!r}) == 0\n"
         "print(eager, 'numpy.random' in sys.modules, lazy, 'entquant.sampler' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()

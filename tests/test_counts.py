@@ -35,9 +35,9 @@ from entquant import (
     simulate_counts,
     write_counts_csv,
 )
-import entquant.counts as counts_module
 import entquant.sampler as sampler_module
-from entquant.counts import _GROUP_SLOTS, _POISSON_ARRAY_MIN, _POISSON_MAX, _poisson, _simulate, group_settings, seed_states
+from entquant.counts import _GROUP_SLOTS, _POISSON_MAX, _simulate, group_settings
+from entquant.sampler import _POISSON_ARRAY_MIN, poisson_counts, seed_states
 from entquant.errors import BadTrace, DuplicateSetting, MissingSetting, NegativeEigenvalue, ParseError, UnknownLabel
 from entquant.measures import _g_terms, _k_terms
 
@@ -274,11 +274,12 @@ class TestSimulateStacks:
             simulate_counts(rho, FULL_SETTINGS, SimConfig(100, "poisson"))
 
 
-def loop_poisson(means, words):
-    """_poisson made one Generator per draw, as it is below _POISSON_ARRAY_MIN."""
+def loop_poisson(means, seed):
+    """poisson_counts of one table of ordinals 0, 1, ..., made one Generator
+    per draw, as it is below _POISSON_ARRAY_MIN."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counts_module, "_POISSON_ARRAY_MIN", np.inf)
-        return _poisson(means, words)
+        mp.setattr(sampler_module, "_POISSON_ARRAY_MIN", np.inf)
+        return poisson_counts(means, seed, np.arange(means.size))
 
 
 class TestPoissonArrayMatchesLoop:
@@ -298,28 +299,59 @@ class TestPoissonArrayMatchesLoop:
             10.0 ** rng.uniform(4, np.log10(_POISSON_MAX), 4_000),
             [_POISSON_MAX] * 10,
         ])
-        words = seed_states(request.param, np.arange(means.size))
-        return means, words, loop_poisson(means, words)
+        return means, request.param, loop_poisson(means, request.param)
 
     def test_array_pass_matches_loop(self, case):
-        means, words, want = case
+        means, seed, want = case
         assert means.size >= _POISSON_ARRAY_MIN
-        got = _poisson(means, words)
+        got = poisson_counts(means, seed, np.arange(means.size))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_every_log_test_through_libm_matches_loop(self, case, monkeypatch):
-        means, words, want = case
+        means, seed, want = case
         monkeypatch.setattr(sampler_module, "_LOG_GUARD", np.inf)
-        assert np.array_equal(_poisson(means, words), want)
+        assert np.array_equal(poisson_counts(means, seed, np.arange(means.size)), want)
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_small_block_rounds_match_loop(self, case, monkeypatch, size):
         """Every multiplication-method stream crosses blocks, and every PTRS
         straggler takes several block rounds."""
-        means, words, want = case
+        means, seed, want = case
         monkeypatch.setattr(sampler_module, "_MULT_BLOCK", size)
         monkeypatch.setattr(sampler_module, "_PTRS_BLOCK", size)
-        assert np.array_equal(_poisson(means, words), want)
+        assert np.array_equal(poisson_counts(means, seed, np.arange(means.size)), want)
+
+
+class TestPoissonCountsKeys:
+    """poisson_counts draws count o of a table from numpy's own
+    default_rng(key).poisson: key [seed, o] for a single table, and for the
+    table at (i, j) of a stack [w0, o], w0 word 0 of SeedSequence([seed, i, j])."""
+
+    @staticmethod
+    def means(shape):
+        rng = np.random.default_rng(17)  # both of numpy's samplers: below 10 and from 10 on
+        return np.where(rng.random(shape) < 0.5, rng.uniform(0, 10, shape), rng.uniform(10, 5000, shape))
+
+    @pytest.fixture(params=["loop", "array"])
+    def side(self, request, monkeypatch):
+        monkeypatch.setattr(sampler_module, "_POISSON_ARRAY_MIN", np.inf if request.param == "loop" else 0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**100 + 7])
+    def test_single_table(self, side, seed):
+        means = self.means(36)
+        got = poisson_counts(means, seed, list(range(36)))
+        assert got.tolist() == [float(np.random.default_rng([seed, o]).poisson(m)) for o, m in enumerate(means.tolist())]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**100 + 7])
+    def test_two_axis_stack(self, side, seed):
+        ords = [FULL_SETTINGS.index(s) for s in KMODE_SETTINGS]
+        means = self.means((2, 3, 12))
+        got = poisson_counts(means, seed, ords)
+        assert got.shape == (2, 3, 12)
+        for i, j in product(range(2), range(3)):
+            w0 = np.random.SeedSequence([seed, i, j]).generate_state(1, np.uint64)[0]
+            want = [float(np.random.default_rng([w0, o]).poisson(m)) for o, m in zip(ords, means[i, j].tolist())]
+            assert got[i, j].tolist() == want, (i, j)
 
 
 class TestPCG64JumpAhead:
@@ -332,12 +364,8 @@ class TestPCG64JumpAhead:
             assert np.array_equal(jumped.hi, stepped.hi) and np.array_equal(jumped.lo, stepped.lo)
 
     def test_doubles_are_numpys(self):
-        from numpy.random import PCG64, Generator
-        from numpy.random.bit_generator import ISeedSequence
-
         words = seed_states(2**64 + 3, np.arange(20))
-        ISeedSequence.register(counts_module._StateWords)
-        want = [Generator(PCG64(counts_module._StateWords(w))).random(9) for w in words]
+        want = [np.random.default_rng([2**64 + 3, o]).random(9) for o in range(20)]
         assert np.array_equal(sampler_module._PCG64Streams(words).block(9), want)
 
 
@@ -386,12 +414,15 @@ class TestSeedStates:
             for j in range(3):
                 assert np.array_equal(got[i, j], seed_sequence_state(seed, i, j)), (seed, i, j)
 
-    def test_uint64_array_part_with_and_without_high_words(self):
+    @pytest.mark.parametrize("head", [(), (5,)], ids=["two-part", "three-part"])
+    def test_uint64_array_part_with_and_without_high_words(self, head):
+        """Keys of uneven word counts, two or three words long, or three or
+        four with the array part's high word present or absent mid-key."""
         seeds = np.array([0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1], dtype=np.uint64)
-        got = seed_states(seeds[:, None], np.arange(36))
+        got = seed_states(*head, seeds[:, None], np.arange(36))
         for b, seed in enumerate(seeds):
             for o in range(36):
-                assert np.array_equal(got[b, o], seed_sequence_state(int(seed), o)), (int(seed), o)
+                assert np.array_equal(got[b, o], seed_sequence_state(*head, int(seed), o)), (int(seed), o)
 
     @pytest.mark.parametrize("seed", SEEDS[:10])
     def test_sweep_two_level_key(self, seed):

@@ -19,8 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from entquant import FULL_SETTINGS, KMODE_SETTINGS, SimConfig, cli, linear_inversion, simulate_counts  # noqa: E402
-from entquant.counts import _ORDINAL, _POISSON_MAX, _PROJECTORS, _pauli_matrix, _poisson, _simulate, seed_states  # noqa: E402
+from entquant.counts import _ORDINAL, _POISSON_MAX, _PROJECTORS, _pauli_matrix, _simulate  # noqa: E402
 from entquant.measures import _PAULI_TENSOR, pauli_expectation_matrix  # noqa: E402
+from entquant.sampler import poisson_counts  # noqa: E402
 from entquant.tomography import pauli_vector_from_counts  # noqa: E402
 
 SETTINGS = hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -63,8 +64,7 @@ def ref_simulate(rhos, settings, cfg, probabilities=summed_probabilities):
     p = probabilities(rhos, ords)
     counts = cfg.n_per_setting * np.where(p > 0.0, p, 0.0)
     if cfg.noise == "poisson":
-        seed = seed_states(cfg.seed, *np.indices(rhos.shape[:-2]))[..., :1] if rhos.ndim > 2 else cfg.seed
-        counts = _poisson(np.minimum(counts, _POISSON_MAX), seed_states(seed, np.array(ords)))
+        counts = poisson_counts(np.minimum(counts, _POISSON_MAX), cfg.seed, ords)
     n = np.zeros(counts.shape[:-1] + (len(FULL_SETTINGS),))
     n[..., ords] = counts
     return n
