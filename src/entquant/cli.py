@@ -98,8 +98,14 @@ def _read_estimate(path: str, estimator, unreadable: str | None = None) -> tuple
     """The table in the file path, read by _read_table, and estimator(table),
     whose errors name the file as a parse error does."""
     table = _read_table(path, unreadable)
+    return table, _named(path, estimator, table)
+
+
+def _named(path: str, estimator, *args):
+    """estimator(*args), an estimate from the table in the file path, whose
+    errors name the file as a parse error does."""
     try:
-        return table, estimator(table)
+        return estimator(*args)
     except (MissingSetting, ValueError) as exc:
         raise _naming(path, exc) from None
 
@@ -204,8 +210,18 @@ def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
 
 
 def _cmd_analyze(args) -> int:
-    table, res = _read_estimate(args.counts_file, g_from_counts)
-    report = {
+    def g_unless_kmode(table):
+        """g_from_counts(table), or None for a table that lacks a setting of
+        the 36 but holds the 12 k-mode ones, when only k is asked for."""
+        try:
+            return g_from_counts(table)
+        except MissingSetting:
+            if args.theta is None or args.tomo or not table.counts.keys() >= set(KMODE_SETTINGS):
+                raise
+            return None
+
+    table, res = _read_estimate(args.counts_file, g_unless_kmode)
+    report = {} if res is None else {
         "g": res.g,
         "delta_g": res.delta_g,
         "covariance": res.covariance.tolist(),
@@ -214,7 +230,7 @@ def _cmd_analyze(args) -> int:
     if args.tomo:
         report["tomo_concurrence"] = _tomo_concurrence(res.t)
     if args.theta is not None:
-        kres = k_from_counts(table, _schmidt_from_theta(args.theta), res)
+        kres = _named(args.counts_file, k_from_counts, table, _schmidt_from_theta(args.theta), res)
         report["k"] = {
             "value": kres.k,
             "bound": kres.bound,

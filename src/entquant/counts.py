@@ -56,7 +56,7 @@ import numpy as np
 
 from .algebra import pure_to_density, tensor_product, validate_density
 from .errors import DuplicateSetting, MissingSetting, ParseError, UnknownLabel
-from .measures import GResult, KResult, SchmidtCoeffs, _g_terms, _k_terms, k_separable_bound
+from .measures import GResult, KResult, SchmidtCoeffs, _check_pauli_indices, _g_terms, _k_terms, k_separable_bound
 from .optics import PAULI_EIGENBASIS, BasisLabel
 
 
@@ -97,7 +97,9 @@ _POISSON_MAX = float(np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max))
 
 def group_settings(i: int, j: int) -> tuple[Setting, ...]:
     """The four settings measuring the sigma_i (x) sigma_j eigenbasis, in
-    outcome order (++, +-, -+, --)."""
+    outcome order (++, +-, -+, --). An index outside 1..3 is rejected as
+    measures.covariance rejects it."""
+    _check_pauli_indices("Pauli index", i, j)
     pa, ma = PAULI_EIGENBASIS[i]
     pb, mb = PAULI_EIGENBASIS[j]
     return (Setting(pa, pb), Setting(pa, mb), Setting(ma, pb), Setting(ma, mb))

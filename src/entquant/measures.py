@@ -55,12 +55,19 @@ def pauli_expectation_matrix(rho: np.ndarray) -> np.ndarray:
 
 def covariance(rho: np.ndarray, i: int, j: int) -> float:
     """C(s_i, s_j) = <s_i s_j> - <s_i><s_j> for Pauli indices i, j in {1, 2, 3}."""
+    _check_pauli_indices("covariance index", i, j)
+    return float(covariance_matrix(rho)[i - 1, j - 1])
+
+
+def _check_pauli_indices(what: str, i: int, j: int) -> None:
+    """Raise IdentityIndexNotAllowed if i or j is 0, and ValueError if it is
+    not otherwise one of the Pauli indices 1, 2, 3; the message names the
+    index as "<what> i" or "<what> j"."""
     for name, idx in (("i", i), ("j", j)):
         if idx == 0:
-            raise IdentityIndexNotAllowed(f"covariance index {name} must be 1..3, not 0")
+            raise IdentityIndexNotAllowed(f"{what} {name} must be 1..3, not 0")
         if idx not in (1, 2, 3):
-            raise ValueError(f"covariance index {name} must be in 1..3, got {idx!r}")
-    return float(covariance_matrix(rho)[i - 1, j - 1])
+            raise ValueError(f"{what} {name} must be in 1..3, got {idx!r}")
 
 
 def covariance_matrix(rho: np.ndarray) -> np.ndarray:

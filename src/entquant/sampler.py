@@ -5,13 +5,13 @@ of its mean, with key [seed, o] for a single table and [w0, o] for the
 table at index (i, j, ...) of a stack, where w0 is word 0 of
 SeedSequence([seed, i, j, ...]). poisson_counts is the module's one entry
 point. It derives each key's four SeedSequence state words with
-seed_states, SeedSequence's hashing as array code, and then draws fewer
-than _POISSON_ARRAY_MIN counts one Generator at a time, handing PCG64 the
-words, and more in one array pass, poisson_array, that runs numpy's PCG64
-and Poisson samplers on every substream at once. counts imports this
-module only under Poisson noise, and numpy.random is imported only for the
-per-draw loop: exact-noise runs and the reading verbs load neither, and a
-Poisson sweep of eight or more points never imports numpy.random.
+seed_states, SeedSequence's hashing as array code, and then draws a single
+table one Generator per count, handing PCG64 the words, and any stack in
+one array pass, poisson_array, that runs numpy's PCG64 and Poisson samplers
+on every substream at once. counts imports this module only under Poisson
+noise, and numpy.random is imported only for a single table: exact-noise
+runs and the reading verbs load neither, and no Poisson sweep imports
+numpy.random.
 
 The array pass draws in rounds, each over the streams not yet done. A round
 costs about the same whether it serves 40 streams or 1,500, so the small
@@ -34,29 +34,22 @@ import operator
 
 import numpy as np
 
-#: Draws from which poisson_counts runs one array pass instead of one
-#: Generator per draw: eight 36-setting tables, where the two break even. On
-#: a 2-core x86-64 host (numpy 2.4; timeit on sweep-g grids, min of 7, three
-#: runs) the array pass's time minus the loop's was +209 to +243 us at 216
-#: draws and a flux of 50 (-118 to +88 us at 5000), +49 to +73 us at 288
-#: draws (-75 to -5 us at 5000) and -84 to -26 us at 360 (-196 to -152 us).
-_POISSON_ARRAY_MIN = 288
-
 
 def poisson_counts(means: np.ndarray, seed: int, ords: np.ndarray | list[int]) -> np.ndarray:
     """One Poisson count per mean (..., S), count [..., s] keyed by the
     setting ordinal ords[s] as the module docstring states: a 1-d means is
-    one table, seeded from seed, and a stack's table at index (i, j, ...)
-    from word 0 of [seed, i, j, ...]. Counts are floats."""
-    key = seed_states(seed, *np.indices(means.shape[:-1]))[..., :1] if means.ndim > 1 else seed
-    states = seed_states(key, np.asarray(ords))
-    if means.size >= _POISSON_ARRAY_MIN:
-        return poisson_array(means.ravel(), states.reshape(-1, 4)).reshape(means.shape)
-    from numpy.random import PCG64, Generator, bit_generator
+    one table, seeded from seed and drawn one Generator per count, and a
+    stack's table at index (i, j, ...) is seeded from word 0 of
+    [seed, i, j, ...], the whole stack drawn in one array pass, whatever its
+    size. Counts are floats."""
+    if means.ndim == 1:
+        from numpy.random import PCG64, Generator, bit_generator
 
-    bit_generator.ISeedSequence.register(_StateWords)
-    draws = [Generator(PCG64(_StateWords(w))).poisson(m) for m, w in zip(means.ravel().tolist(), states.reshape(-1, 4))]
-    return np.array(draws, dtype=float).reshape(means.shape)
+        bit_generator.ISeedSequence.register(_StateWords)
+        draws = [Generator(PCG64(_StateWords(w))).poisson(m) for m, w in zip(means.tolist(), seed_states(seed, np.asarray(ords)))]
+        return np.array(draws, dtype=float)
+    w0 = seed_states(seed, *np.indices(means.shape[:-1]))[..., :1]
+    return poisson_array(means.ravel(), seed_states(w0, np.asarray(ords)).reshape(-1, 4)).reshape(means.shape)
 
 
 class _StateWords:

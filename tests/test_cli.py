@@ -168,6 +168,37 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert "L,L" in proc.stderr
 
+    @pytest.mark.parametrize("noise", [[], ["--noise", "poisson"], ["--noise", "poisson", "--seed", "7"]],
+                             ids=["exact", "poisson-seed-0", "poisson-seed-7"])
+    def test_kmode_table_gives_the_k_section_alone(self, capsys, tmp_path, noise):
+        """k reads only the diagonal groups, and each count is drawn on the
+        substream of its setting's ordinal, so the k-mode table's k is the
+        full table's bit for bit."""
+        reports = {}
+        for settings in ("full", "kmode"):
+            path = str(tmp_path / f"{settings}.csv")
+            argv = ["simulate", "--family", "parallel", "--theta", "20", "--settings", settings, *noise, "--out", path]
+            assert cli.main(argv) == 0
+            assert cli.main(["analyze", path, "--theta", "20"]) == 0
+            reports[settings] = json.loads(capsys.readouterr().out)
+            assert reports[settings]["inputs"].pop("file") == path
+        assert list(reports["kmode"]) == ["k", "inputs"]
+        assert reports["kmode"] == {key: reports["full"][key] for key in ("k", "inputs")}
+
+    def test_kmode_table_lacking_a_kmode_setting_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "k.csv"
+        assert cli.main(["simulate", "--family", "parallel", "--theta", "20", "--settings", "kmode", "--out", str(path)]) == 0
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True) if not line.startswith("V,V,")))
+        assert cli.main(["analyze", str(path), "--theta", "20"]) == 3
+        assert capsys.readouterr().err == f"error: {path}: counts table is missing setting H,D\n"
+
+    def test_kmode_table_with_an_empty_group_names_it(self, capsys, tmp_path):
+        zero = set(counts.group_settings(2, 2))
+        path = tmp_path / "k.csv"
+        path.write_text("basis_a,basis_b,count\n" + "".join(f"{s.a},{s.b},{0 if s in zero else 7}\n" for s in KMODE_SETTINGS))
+        assert cli.main(["analyze", str(path), "--theta", "20"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: settings group (2, 2) has zero total counts\n"
+
     def test_corrupt_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("basis_a,basis_b,count\nH,W,3\n")
@@ -937,11 +968,11 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out == ["False", "False", "False", "False"]
 
 
-@pytest.mark.parametrize("steps", [[], ["--steps", "8"]], ids=["default", "8-points"])
+@pytest.mark.parametrize("steps", [[], ["--steps", "8"], ["--steps", "2"]], ids=["default", "8-points", "2-points"])
 @pytest.mark.parametrize("verb", ["sweep-g", "sweep-k"])
 def test_poisson_sweep_leaves_numpy_random_unloaded(verb, steps):
-    """A Poisson sweep of eight points or more (288 draws) is drawn in one
-    array pass, so it loads the sampler but not numpy.random."""
+    """A Poisson sweep draws its stack of tables in one array pass, so it
+    loads the sampler but not numpy.random."""
     code = (
         "import contextlib, io, sys, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"

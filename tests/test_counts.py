@@ -37,8 +37,8 @@ from entquant import (
 )
 import entquant.sampler as sampler_module
 from entquant.counts import _GROUP_SLOTS, _POISSON_MAX, _simulate, group_settings
-from entquant.sampler import _POISSON_ARRAY_MIN, poisson_counts, seed_states
-from entquant.errors import BadTrace, DuplicateSetting, MissingSetting, NegativeEigenvalue, ParseError, UnknownLabel
+from entquant.sampler import poisson_array, poisson_counts, seed_states
+from entquant.errors import BadTrace, DuplicateSetting, IdentityIndexNotAllowed, MissingSetting, NegativeEigenvalue, ParseError, UnknownLabel
 from entquant.measures import _g_terms, _k_terms
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -275,11 +275,14 @@ class TestSimulateStacks:
 
 
 def loop_poisson(means, seed):
-    """poisson_counts of one table of ordinals 0, 1, ..., made one Generator
-    per draw, as it is below _POISSON_ARRAY_MIN."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler_module, "_POISSON_ARRAY_MIN", np.inf)
-        return poisson_counts(means, seed, np.arange(means.size))
+    """poisson_counts of one table (1-d means) of ordinals 0, 1, ..., which
+    it draws one Generator per count."""
+    return poisson_counts(means, seed, np.arange(means.size))
+
+
+def array_poisson(means, seed):
+    """poisson_array on the same keys as loop_poisson."""
+    return poisson_array(means, seed_states(seed, np.arange(means.size)))
 
 
 class TestPoissonArrayMatchesLoop:
@@ -303,14 +306,13 @@ class TestPoissonArrayMatchesLoop:
 
     def test_array_pass_matches_loop(self, case):
         means, seed, want = case
-        assert means.size >= _POISSON_ARRAY_MIN
-        got = poisson_counts(means, seed, np.arange(means.size))
+        got = array_poisson(means, seed)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_every_log_test_through_libm_matches_loop(self, case, monkeypatch):
         means, seed, want = case
         monkeypatch.setattr(sampler_module, "_LOG_GUARD", np.inf)
-        assert np.array_equal(poisson_counts(means, seed, np.arange(means.size)), want)
+        assert np.array_equal(array_poisson(means, seed), want)
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_small_block_rounds_match_loop(self, case, monkeypatch, size):
@@ -319,31 +321,29 @@ class TestPoissonArrayMatchesLoop:
         means, seed, want = case
         monkeypatch.setattr(sampler_module, "_MULT_BLOCK", size)
         monkeypatch.setattr(sampler_module, "_PTRS_BLOCK", size)
-        assert np.array_equal(poisson_counts(means, seed, np.arange(means.size)), want)
+        assert np.array_equal(array_poisson(means, seed), want)
 
 
 class TestPoissonCountsKeys:
     """poisson_counts draws count o of a table from numpy's own
-    default_rng(key).poisson: key [seed, o] for a single table, and for the
-    table at (i, j) of a stack [w0, o], w0 word 0 of SeedSequence([seed, i, j])."""
+    default_rng(key).poisson: key [seed, o] for a single table, which it
+    draws one Generator per count, and for the table at (i, j) of a stack,
+    which it draws in one array pass, [w0, o], w0 word 0 of
+    SeedSequence([seed, i, j])."""
 
     @staticmethod
     def means(shape):
         rng = np.random.default_rng(17)  # both of numpy's samplers: below 10 and from 10 on
         return np.where(rng.random(shape) < 0.5, rng.uniform(0, 10, shape), rng.uniform(10, 5000, shape))
 
-    @pytest.fixture(params=["loop", "array"])
-    def side(self, request, monkeypatch):
-        monkeypatch.setattr(sampler_module, "_POISSON_ARRAY_MIN", np.inf if request.param == "loop" else 0)
-
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**100 + 7])
-    def test_single_table(self, side, seed):
+    def test_single_table(self, seed):
         means = self.means(36)
         got = poisson_counts(means, seed, list(range(36)))
         assert got.tolist() == [float(np.random.default_rng([seed, o]).poisson(m)) for o, m in enumerate(means.tolist())]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**100 + 7])
-    def test_two_axis_stack(self, side, seed):
+    def test_two_axis_stack(self, seed):
         ords = [FULL_SETTINGS.index(s) for s in KMODE_SETTINGS]
         means = self.means((2, 3, 12))
         got = poisson_counts(means, seed, ords)
@@ -352,6 +352,33 @@ class TestPoissonCountsKeys:
             w0 = np.random.SeedSequence([seed, i, j]).generate_state(1, np.uint64)[0]
             want = [float(np.random.default_rng([w0, o]).poisson(m)) for o, m in zip(ords, means[i, j].tolist())]
             assert got[i, j].tolist() == want, (i, j)
+
+
+class TestPoissonStackContract:
+    """Table idx of a Poisson stack, drawn in one array pass, is the single
+    table, drawn one Generator per count, seeded with word 0 of
+    SeedSequence([seed, *idx])."""
+
+    @staticmethod
+    def sweep_g_means(n):
+        """The 46-point sweep-g grid's means at n per setting, as _simulate takes them."""
+        rhos = pure_to_density(prepare_parallel(np.radians(np.linspace(0.0, 45.0, 46))))
+        return n * _simulate(rhos, FULL_SETTINGS, SimConfig(1.0, "exact"))
+
+    @pytest.fixture(scope="class", params=["sweep-g-n3", "sweep-g-n50", "sweep-g-n5000", "kmode-4x3"])
+    def stack(self, request):
+        if request.param == "kmode-4x3":
+            ords = [FULL_SETTINGS.index(s) for s in KMODE_SETTINGS]
+            return np.random.default_rng(3).uniform(0, 40, (4, 3, 12)), ords
+        return self.sweep_g_means(float(request.param.split("-n")[1])), list(range(36))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**100 + 7])
+    def test_stack_table_is_single_table_of_its_seed(self, stack, seed):
+        means, ords = stack
+        got = poisson_counts(means, seed, ords)
+        for idx in np.ndindex(means.shape[:-1]):
+            w0 = int(np.random.SeedSequence([seed, *idx]).generate_state(1, np.uint64)[0])
+            assert np.array_equal(got[idx], poisson_counts(means[idx], w0, ords)), idx
 
 
 class TestPCG64JumpAhead:
@@ -616,6 +643,24 @@ class TestMarginalExpectation:
     def test_bad_side_rejected(self, block1):
         with pytest.raises(ValueError):
             marginal_expectation(block1, "C", 3)
+
+
+@pytest.mark.parametrize(
+    "call, index",
+    [
+        (lambda t: joint_expectation(t, 0, 1), 0),
+        (lambda t: joint_expectation(t, 1, 0), 0),
+        (lambda t: joint_expectation(t, 4, 2), 4),
+        (lambda t: joint_expectation(t, 2, -1), -1),
+        (lambda t: marginal_expectation(t, "A", 0), 0),
+        (lambda t: marginal_expectation(t, "B", 4), 4),
+    ],
+    ids=["joint-0-1", "joint-1-0", "joint-4-2", "joint-2-minus-1", "marginal-A-0", "marginal-B-4"],
+)
+def test_bad_pauli_index_rejected_as_covariance_rejects_it(block1, call, index):
+    with pytest.raises(ValueError, match=rf"Pauli index [ij] must be (1\.\.3, not 0|in 1\.\.3, got {index})$") as info:
+        call(block1)
+    assert isinstance(info.value, IdentityIndexNotAllowed) == (index == 0)
 
 
 class TestGFromCounts:
