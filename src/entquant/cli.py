@@ -63,8 +63,8 @@ _NAMED_STATES = {
 _FAMILIES = ("parallel", "antiparallel")
 _EYE2 = np.eye(2, dtype=complex)  # an arm without plates; never written to
 #: The largest sweep grid. At 10,000 points an in-process sweep-g peaks near
-#: 57 MiB of memory under exact noise and 119 MiB under Poisson noise, and a
-#: sweep-k near 106 and 124 MiB (ru_maxrss, --out /dev/null).
+#: 57 MiB of memory under exact noise and 116 MiB under Poisson noise, and a
+#: sweep-k near 106 and 122 MiB (ru_maxrss, --out /dev/null).
 _MAX_STEPS = 10_000
 
 

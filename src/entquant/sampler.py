@@ -13,12 +13,18 @@ noise, and numpy.random is imported only for a single table: exact-noise
 runs and the reading verbs load neither, and no Poisson sweep imports
 numpy.random.
 
-The array pass draws in rounds, each over the streams not yet done. A round
-costs about the same whether it serves 40 streams or 1,500, so the small
-sets that need many draws, the multiplication method's streams and PTRS's
-stragglers after its first round, draw in blocks: a stream's next n states
-come in one step by jump-ahead, as an LCG allows (Brown, Random number
-generation with arbitrary strides, Trans. Am. Nucl. Soc. 71, 202, 1994).
+The array pass seeds the PCG64 streams of every positive mean at once and
+splits them between numpy's two methods. It then draws in rounds, each over
+the streams not yet done. A round's cost is mostly the fixed cost of its
+numpy calls: about the same whether it serves 40 streams or 1,500. So the
+small sets that need many draws, the multiplication method's streams and
+PTRS's stragglers after its first round, draw in blocks: a stream's next n
+states come in one step by jump-ahead, as an LCG allows (Brown, Random
+number generation with arbitrary strides, Trans. Am. Nucl. Soc. 71, 202,
+1994). A block is laid out (n, K), stream innermost, so its 128-bit
+products broadcast the (n, 1) jump constants against a row of streams and
+each method reduces over axis 0. PTRS's first round, one (u, v) pair for
+every stream, takes two plain steps on flat (K,) arrays.
 
 The algorithms are numpy's own: the PCG64 XSL-RR generator (O'Neill, PCG
 tech report, 2014) and its random_poisson, which draws 0 at a mean of 0,
@@ -108,14 +114,29 @@ def _hash_consts(c: int, mult: int, n: int) -> np.ndarray:
     return consts
 
 
-def _hashmix(v: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
-    v = (v ^ c[j : j + len(v)]) * c[j + 1 : j + 1 + len(v)]
-    return v ^ v >> np.uint32(16)
+_U16, _MIX_X, _MIX_Y = np.uint32(16), np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_HASH = functools.partial(_hash_consts, 0x43B0D7E5, 0x931E8875)
+_POOL_C = _POOL_HASH(16)
+#: For each source word of the pool: the rows it mixes into, and the xor and multiplier columns of their hash calls.
+_POOL_MIXES = [(np.array([d for d in range(4) if d != s]), _POOL_C[4 + 3 * s : 7 + 3 * s], _POOL_C[5 + 3 * s : 8 + 3 * s]) for s in range(4)]
+#: generate_state's hash constants, as (2, 4, 1): output word i hashes pool word i % 4.
+_STATE_XOR, _STATE_MUL = (_hash_consts(0x8B51F9DD, 0x58F38DED, 8)[j : j + 8].reshape(2, 4, 1) for j in (0, 1))
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-    return r ^ r >> np.uint32(16)
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of v by the hash constants xor and mul, as a new array."""
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _U16
+    return v
+
+
+def _mix(x: np.ndarray, hashed: np.ndarray) -> None:
+    """SeedSequence's mix(x, hashed), in place on x; hashed is overwritten."""
+    hashed *= _MIX_Y
+    x *= _MIX_X
+    x -= hashed
+    x ^= x >> _U16
 
 
 def _seed_pool(entropy: np.ndarray) -> np.ndarray:
@@ -124,15 +145,17 @@ def _seed_pool(entropy: np.ndarray) -> np.ndarray:
     call j xors with constant j and multiplies by constant j + 1 whatever it
     hashes, so calls that do not depend on one another run as one array
     operation."""
-    c = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * (len(entropy) - 4))
-    pool = _hashmix(entropy[:4], c, 0)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * 3], c, 4 + 3 * src))
-    for i, word in enumerate(entropy[4:]):
-        pool = _mix(pool, _hashmix(np.stack([word] * 4), c, 16 + 4 * i))
-    v = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0).astype(np.uint64)
-    return np.ascontiguousarray((v[0::2] | v[1::2] << np.uint64(32)).T)  # PCG64 reads its state words' raw buffer
+    pool = _hashmix(entropy[:4], _POOL_C[:4], _POOL_C[1:5])
+    for src, (dst, xor, mul) in enumerate(_POOL_MIXES):
+        mixed = pool[dst]
+        _mix(mixed, _hashmix(pool[src], xor, mul))
+        pool[dst] = mixed
+    for i, word in enumerate(entropy[4:], 4):  # hash calls 4i to 4i + 3
+        c = _POOL_HASH(4 * i + 4)[4 * i :]
+        _mix(pool, _hashmix(word, c[:4], c[1:]))
+    v = _hashmix(pool, _STATE_XOR, _STATE_MUL).reshape(8, -1)
+    # state word i is v[2i] | v[2i + 1] << 32, as generate_state reads them: little-endian 32-bit words
+    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 # Every 64-bit word stays an np.uint64: under numpy 1.x a Python-int operand
@@ -140,7 +163,6 @@ def _seed_pool(entropy: np.ndarray) -> np.ndarray:
 _U1, _U11, _U32, _U58, _U63 = (np.uint64(s) for s in (1, 11, 32, 58, 63))
 _LO32 = np.uint64(0xFFFFFFFF)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 
 #: Doubles a round of the multiplication method draws per stream, and (u, v)
 #: pairs a round of PTRS draws per stream after its first round.
@@ -149,23 +171,29 @@ _PTRS_BLOCK = 4
 
 
 def _jump_table(n: int) -> np.ndarray:
-    """Rows hi(A_i), lo(A_i), hi(C_i), lo(C_i) for i = 1..n, where A_i = mult**i
-    and C_i = sum of mult**j over j < i, mod 2**128: i steps of the LCG take a
-    state s to A_i s + C_i inc."""
+    """A_i, rows 0-3, and C_i, rows 4-7, for i = 1..n, as (n, 1) columns of
+    the factors _mul128 takes, where A_i = mult**i and C_i = sum of mult**j
+    over j < i, mod 2**128: i steps of the LCG take a state s to
+    A_i s + C_i inc. A factor is its hi and lo words and lo's low and high
+    32-bit limbs; the limbs stay uint64, as operands of 64-bit products,
+    which a uint32 operand would be cast for on every call."""
     rows, a, c = [], 1, 0
     for _ in range(n):
         a, c = a * _PCG_MULT % (1 << 128), (c + a) % (1 << 128)
-        rows.append([a >> 64, a & 0xFFFFFFFFFFFFFFFF, c >> 64, c & 0xFFFFFFFFFFFFFFFF])
-    return np.array(rows, dtype=np.uint64).T
+        rows.append([x >> s & (1 << w) - 1 for x in (a, c) for s, w in ((64, 64), (0, 64), (0, 32), (32, 32))])
+    return np.array(rows, dtype=np.uint64).T.copy()[..., None]
 
 
 _JUMPS = _jump_table(max(_MULT_BLOCK, 2 * _PTRS_BLOCK))
+_MULT = list(_JUMPS[:4, 0, 0])  # A_1, the multiplier, as four np.uint64 scalars
 
 
-def _mul128(xhi, xlo, yhi, ylo):
-    """x * y mod 2**128 as hi/lo uint64 words; the high word of xlo * ylo is
-    built from 32-bit limbs, so no partial product overflows."""
-    x0, x1, y0, y1 = xlo & _LO32, xlo >> _U32, ylo & _LO32, ylo >> _U32
+def _mul128(xhi, xlo, y):
+    """x * y mod 2**128 as hi/lo uint64 words, y a factor of _JUMPS; the
+    high word of xlo * ylo is built from 32-bit limbs, so no partial product
+    overflows."""
+    yhi, ylo, y0, y1 = y
+    x0, x1 = xlo & _LO32, xlo >> _U32
     mid = x1 * y0 + (x0 * y0 >> _U32)
     mulhi = x1 * y1 + (mid >> _U32) + ((mid & _LO32) + x0 * y1 >> _U32)
     return mulhi + xlo * yhi + xhi * ylo, xlo * ylo
@@ -199,9 +227,15 @@ class _PCG64Streams:
         self.hi, self.lo = self.inc_hi + w0 + (lo < w1), lo
         self._step()
 
+    def __getitem__(self, mask: np.ndarray) -> _PCG64Streams:
+        """The streams that mask selects, as a new _PCG64Streams."""
+        streams = object.__new__(_PCG64Streams)
+        streams.hi, streams.lo, streams.inc_hi, streams.inc_lo = self.hi[mask], self.lo[mask], self.inc_hi[mask], self.inc_lo[mask]
+        return streams
+
     def _step(self) -> None:
         """state = state * mult + inc mod 2**128."""
-        self.hi, self.lo = _add128(_mul128(self.hi, self.lo, _PCG_MULT_HI, _PCG_MULT_LO), (self.inc_hi, self.inc_lo))
+        self.hi, self.lo = _add128(_mul128(self.hi, self.lo, _MULT), (self.inc_hi, self.inc_lo))
 
     def next_double(self) -> np.ndarray:
         """Each stream's next double."""
@@ -209,60 +243,71 @@ class _PCG64Streams:
         return _double(self.hi, self.lo)
 
     def block(self, n: int) -> np.ndarray:
-        """Each stream's next n doubles (K, n), its n next states reached at
-        once by jump-ahead, A_i state + C_i inc for i = 1..n."""
-        a_hi, a_lo, c_hi, c_lo = _JUMPS[:, :n]
-        hi, lo = _add128(_mul128(self.hi[:, None], self.lo[:, None], a_hi, a_lo),
-                         _mul128(self.inc_hi[:, None], self.inc_lo[:, None], c_hi, c_lo))
-        self.hi, self.lo = hi[:, -1], lo[:, -1]
+        """Each stream's next n doubles (n, K), stream innermost, its n next
+        states reached at once by jump-ahead, A_i state + C_i inc for
+        i = 1..n."""
+        hi, lo = _add128(_mul128(self.hi, self.lo, _JUMPS[:4, :n]), _mul128(self.inc_hi, self.inc_lo, _JUMPS[4:, :n]))
+        self.hi, self.lo = hi[-1], lo[-1]
         return _double(hi, lo)
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.hi, self.lo, self.inc_hi, self.inc_lo = self.hi[mask], self.lo[mask], self.inc_hi[mask], self.inc_lo[mask]
 
 
 def poisson_array(lam: np.ndarray, words: np.ndarray) -> np.ndarray:
     """numpy's random_poisson on every mean lam (K,) at once, stream i seeded
-    from the state words words[i] (K, 4). Each round draws for the streams
-    not yet done, and a done stream is dropped. A round of the multiplication
-    method draws _MULT_BLOCK doubles a stream; a stream's count is the first
-    index where the running product falls to exp(-lam). PTRS's first round
-    draws one (u, v) pair a stream, a later one _PTRS_BLOCK pairs, of which
-    the stream takes the first that passes."""
+    from the state words words[i] (K, 4). Every stream of a positive mean is
+    seeded at once, then split between the two methods. Each round draws for
+    the streams not yet done, and a done stream is dropped. A round of the
+    multiplication method draws _MULT_BLOCK doubles a stream; a stream's
+    count is the first index where the running product falls to exp(-lam).
+    PTRS's first round draws one (u, v) pair a stream, a later one
+    _PTRS_BLOCK pairs, of which the stream takes the first that passes."""
     out = np.zeros(lam.size)
-    idx = np.flatnonzero((0.0 < lam) & (lam < 10.0))
-    streams, prod, count = _PCG64Streams(words[idx]), np.ones(idx.size), 0
-    enlam = np.array([math.exp(-m) for m in lam[idx].tolist()]).reshape(-1, 1)  # libm's exp, as numpy's C
-    while idx.size:
-        prods = streams.block(_MULT_BLOCK)
-        prods[:, 0] *= prod
-        np.multiply.accumulate(prods, axis=1, out=prods)
+    idx = np.flatnonzero(lam > 0.0)
+    streams, small = _PCG64Streams(words[idx]), lam[idx] < 10.0
+    # no name keeps the whole set past the split: it would add to the pass's peak, PTRS's first round
+    midx, mult, idx, streams = idx[small], streams[small], idx[~small], streams[~small]
+    prod, count = np.ones(midx.size), 0
+    enlam = np.array([math.exp(-m) for m in lam[midx].tolist()])  # libm's exp, as numpy's C
+    while midx.size:
+        prods = mult.block(_MULT_BLOCK)
+        prods[0] *= prod
+        np.multiply.accumulate(prods, axis=0, out=prods)
         stop = prods <= enlam
-        done = stop.any(axis=1)
-        out[idx[done]] = count + stop[done].argmax(axis=1)
-        idx, prod, enlam, count = idx[~done], prods[~done, -1], enlam[~done], count + _MULT_BLOCK
-        streams.keep(~done)
-    idx = np.flatnonzero(lam >= 10.0)
-    streams, lam = _PCG64Streams(words[idx]), lam[idx]
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    par = np.stack([lam, np.log(lam), -0.059 + 0.02483 * b, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)])
-    first = True  # over all streams, two plain steps cost less than a block's two 128-bit products per draw
+        done = stop[-1]  # the running product never rises
+        out[midx[done]] = count + stop[:, done].argmax(axis=0)
+        midx, prod, enlam, count, mult = midx[~done], prods[-1, ~done], enlam[~done], count + _MULT_BLOCK, mult[~done]
+    par = _ptrs_params(lam[idx])
     with np.errstate(divide="ignore", invalid="ignore"):  # us = 0 sends k to -inf, then int64 min: rejected as C does
+        # over all streams, two plain steps cost less than a block's two 128-bit products per draw
+        k, done = _ptrs_round(streams.next_double() - 0.5, streams.next_double(), par)
+        out[idx[done]] = k[done]
+        idx, par, streams = idx[~done], par[:, ~done], streams[~done]
         while idx.size:
-            draws = np.column_stack([streams.next_double(), streams.next_double()]) if first else streams.block(2 * _PTRS_BLOCK)
-            first = False
-            lam, _, a, b, _, vr = par[..., None]
-            u, v = draws[:, 0::2] - 0.5, draws[:, 1::2]
-            us = 0.5 - np.abs(u)
-            k = np.floor((2 * a / us + b) * u + lam + 0.43).astype(np.int64)
-            ok = (us >= 0.07) & (v <= vr)
-            i, j = np.nonzero(~ok & (k >= 0) & ~((us < 0.013) & (v > us)))
-            ok[i, j] = _ptrs_log_test(v[i, j], us[i, j], k[i, j], par[:, i])
-            done = ok.any(axis=1)
-            out[idx[done]] = k[done, ok[done].argmax(axis=1)]
-            idx, par = idx[~done], par[:, ~done]
-            streams.keep(~done)
+            draws = streams.block(2 * _PTRS_BLOCK)
+            k, ok = _ptrs_round(draws[0::2] - 0.5, draws[1::2], par)
+            done = ok.any(axis=0)
+            out[idx[done]] = k[ok[:, done].argmax(axis=0), done]
+            idx, par, streams = idx[~done], par[:, ~done], streams[~done]
     return out
+
+
+def _ptrs_params(lam: np.ndarray) -> np.ndarray:
+    """PTRS's constants lam, log(lam), a, b, invalpha and vr of each mean, as
+    rows (6, K); a function, so that no (K,) temporary outlives it into the
+    first round, where the pass peaks."""
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    return np.stack([lam, np.log(lam), -0.059 + 0.02483 * b, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)])
+
+
+def _ptrs_round(u: np.ndarray, v: np.ndarray, par: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PTRS's k and acceptance of each pair (u, v), u a double less 0.5 and
+    v the next double, of the streams along the last axis of par."""
+    lam, _, a, b, _, vr = par
+    us = 0.5 - np.abs(u)
+    k = np.floor((2 * a / us + b) * u + lam + 0.43).astype(np.int64)
+    ok = (us >= 0.07) & (v <= vr)
+    test = np.nonzero(~ok & (k >= 0) & ~((us < 0.013) & (v > us)))
+    ok[test] = _ptrs_log_test(v[test], us[test], k[test], par[:, test[-1]])
+    return k, ok
 
 
 #: The guard band of _ptrs_log_test, relative to the sum of its terms' sizes.

@@ -324,6 +324,18 @@ class TestPoissonArrayMatchesLoop:
         assert np.array_equal(array_poisson(means, seed), want)
 
 
+@pytest.mark.parametrize("means", [
+    np.zeros(0), np.zeros(40), np.linspace(0.5, 9.5, 40), np.linspace(10.0, 1e4, 40),
+    np.array([3.0]), np.array([30.0]), np.array([0.0, 3.0, 30.0]),
+], ids=["empty", "all-zero", "mult-only", "ptrs-only", "one-mult", "one-ptrs", "one-of-each"])
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_poisson_array_matches_loop_on_one_side_of_the_split(means, seed):
+    """poisson_array seeds every positive mean's stream at once and splits
+    them between the two methods; either side may get no stream at all."""
+    got = array_poisson(means, seed)
+    assert got.shape == means.shape and np.array_equal(got, loop_poisson(means, seed))
+
+
 class TestPoissonCountsKeys:
     """poisson_counts draws count o of a table from numpy's own
     default_rng(key).poisson: key [seed, o] for a single table, which it
@@ -386,14 +398,14 @@ class TestPCG64JumpAhead:
         words = seed_states(11, np.arange(50))
         stepped, jumped = sampler_module._PCG64Streams(words), sampler_module._PCG64Streams(words)
         for n in (1, 2, sampler_module._JUMPS.shape[1]):
-            want = np.column_stack([stepped.next_double() for _ in range(n)])
+            want = np.stack([stepped.next_double() for _ in range(n)])  # (n, K): stream innermost
             assert np.array_equal(jumped.block(n), want)
             assert np.array_equal(jumped.hi, stepped.hi) and np.array_equal(jumped.lo, stepped.lo)
 
     def test_doubles_are_numpys(self):
         words = seed_states(2**64 + 3, np.arange(20))
         want = [np.random.default_rng([2**64 + 3, o]).random(9) for o in range(20)]
-        assert np.array_equal(sampler_module._PCG64Streams(words).block(9), want)
+        assert np.array_equal(sampler_module._PCG64Streams(words).block(9).T, want)
 
 
 class TestPoissonFluxLimit:
