@@ -68,11 +68,6 @@ _EYE2 = np.eye(2, dtype=complex)  # an arm without plates; never written to
 _MAX_STEPS = 10_000
 
 
-def _prepare(family: str, theta_rad):
-    """optics.prepare_<family>(theta_rad), looked up on optics at each call."""
-    return getattr(optics, f"prepare_{family}")(theta_rad)
-
-
 def _read_table(path: str, unreadable: str | None = None) -> CountsTable:
     """The table in the file path; an unreadable file is reported as
     unreadable says, or as "cannot read <path>", and a parse error starts
@@ -184,12 +179,13 @@ def _arm_unitaries(args) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _prepared_kets(args, theta) -> np.ndarray:
-    """--family ket at theta (a stack for an array of angles)."""
+    """--family ket at theta (a stack for an array of angles), from
+    optics.prepare_<family>, looked up on optics at each call."""
     if args.family is None or theta is None:
         raise ValueError("a state spec requires --family and --theta")
     if isinstance(theta, float) and not math.isfinite(theta):  # a --theta flag; the sweep grids are checked
         raise ValueError(f"--theta must be finite, got {theta!r}")
-    return _prepare(args.family, np.radians(theta))
+    return getattr(optics, f"prepare_{args.family}")(np.radians(theta))
 
 
 def _prepared_density(args, theta, arms=None, kets=None) -> np.ndarray:
@@ -209,26 +205,35 @@ def _schmidt_from_theta(theta_deg: float) -> SchmidtCoeffs:
     return SchmidtCoeffs(a=math.cos(2 * rad), b=math.sin(2 * rad))
 
 
-def _cmd_analyze(args) -> int:
-    def g_unless_kmode(table):
-        """g_from_counts(table), or None for a table that lacks a setting of
-        the 36 but holds the 12 k-mode ones, when only k is asked for."""
-        try:
-            return g_from_counts(table)
-        except MissingSetting:
-            if args.theta is None or args.tomo or not table.counts.keys() >= set(KMODE_SETTINGS):
-                raise
-            return None
+def _inputs(path: str, table: CountsTable, flag: str, value) -> dict:
+    """The inputs of an analyze or tomo report on the table in the file
+    path: the file, the table's source, the verb's flag as flag when its
+    value is given, then the table's seed when it records one."""
+    inputs = {"file": path, "source": table.source}
+    if value is not None:
+        inputs[flag] = value
+    if table.seed is not None:
+        inputs["seed"] = table.seed
+    return inputs
 
-    table, res = _read_estimate(args.counts_file, g_unless_kmode)
-    report = {} if res is None else {
+
+def _cmd_analyze(args) -> int:
+    table = _read_table(args.counts_file)
+    # g needs all 36 settings and k the 12 of KMODE_SETTINGS. With --theta
+    # and without --tomo, a table that lacks one of the 36 but holds the 12
+    # gets the k section alone. Any other table that lacks a setting exits 3,
+    # and g_from_counts names the first setting it lacks. A table's keys are
+    # distinct settings, so it lacks one of the 36 when it holds fewer.
+    k_alone = args.theta is not None and not args.tomo and len(table.counts) < len(FULL_SETTINGS) and table.counts.keys() >= set(KMODE_SETTINGS)
+    res = None if k_alone else _named(args.counts_file, g_from_counts, table)
+    report = {} if k_alone else {
         "g": res.g,
         "delta_g": res.delta_g,
         "covariance": res.covariance.tolist(),
         "concurrence_from_g": _clamped_c_from_g(res.g),
     }
     if args.tomo:
-        report["tomo_concurrence"] = _tomo_concurrence(res.t)
+        report["tomo_concurrence"] = _tomo_concurrence(res.estimate[0])
     if args.theta is not None:
         kres = _named(args.counts_file, k_from_counts, table, _schmidt_from_theta(args.theta), res)
         report["k"] = {
@@ -237,11 +242,7 @@ def _cmd_analyze(args) -> int:
             "expectations": list(kres.expectations),
             "delta_k": kres.delta_k,
         }
-    report["inputs"] = {"file": args.counts_file, "source": table.source}
-    if args.theta is not None:
-        report["inputs"]["theta_deg"] = args.theta
-    if table.seed is not None:
-        report["inputs"]["seed"] = table.seed
+    report["inputs"] = _inputs(args.counts_file, table, "theta_deg", args.theta)
     _emit_report(report, args.out)
     return 0
 
@@ -305,7 +306,7 @@ def _cmd_sweep_k(args) -> int:
     cfg = SimConfig(args.n, args.noise, args.seed)
     coeffs = [_schmidt_from_theta(theta) for theta in grid.tolist()]
     fixed = np.broadcast_to([_NAMED_STATES["HH"], _NAMED_STATES["VH"]], (len(grid), 2, 4))
-    kets = np.concatenate([_prepare(args.family, np.radians(grid))[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
+    kets = np.concatenate([_prepared_kets(args, grid)[:, None], fixed], axis=1)  # (B, 3, 4): family state, HH, VH
     t, _, _, bad = _read_sweep(pure_to_density(kets), KMODE_SETTINGS, cfg, lambda b, s: f"theta {grid[b]:.12g}, k{s} state")
     ks = _k_terms(t, np.array([[s.a] for s in coeffs]), np.array([[s.b] for s in coeffs]))[0]
     ks[bad] = np.nan
@@ -371,13 +372,10 @@ def _cmd_tomo(args) -> int:
         "eigenvalues": w[::-1].tolist(),
         "purity": float(np.sum(w * w)),
         "tomo_concurrence": _concurrence_from_eigh(w, v),
-        "inputs": {"file": args.counts_file, "source": table.source},
+        "inputs": _inputs(args.counts_file, table, "reference", args.reference),
     }
     if args.reference is not None:
         report["fidelity"] = _fidelity_from_sqrts(_sqrt_from_eigh(w, v), _reference_sqrt(args.reference))
-        report["inputs"]["reference"] = args.reference
-    if table.seed is not None:
-        report["inputs"]["seed"] = table.seed
     _emit_report(report, args.out)
     return 0
 
@@ -467,12 +465,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except MissingSetting as exc:
+    except (MissingSetting, ValueError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, MissingSetting) else 2
 
 
 if __name__ == "__main__":

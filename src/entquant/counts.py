@@ -17,7 +17,8 @@ and every error bar follows one delta-method rule, _delta: with the counts
 independent Poisson variables, var(n) = n, an estimate f(t) has
 sigma_f^2 = sum over groups of var_p(w) / T, p the group's outcome
 frequencies and w each outcome's weight in grad_t f . t. The CLI's analyze
-reads g, k and the tomographic state from one estimate of the full table:
+reads g, k and the tomographic state from one estimate of the full table,
+the (t, group counts, inverse group totals) that GResult.estimate carries:
 k reads only the diagonal groups, so it is the same, bit for bit, on the
 full table's estimate as on its k-mode subset's.
 
@@ -424,7 +425,7 @@ def g_from_counts(table: CountsTable) -> GResult:
     """
     estimate = t, groups, inv = _estimate(table, FULL_SETTINGS)
     g, cov, grad = _g_terms(t)
-    return GResult(g=float(g), covariance=cov, delta_g=float(_delta(groups, inv, grad, table.is_exact)), t=t, estimate=estimate)
+    return GResult(g=float(g), covariance=cov, delta_g=float(_delta(groups, inv, grad, table.is_exact)), estimate=estimate)
 
 
 def k_from_counts(table: CountsTable, s: SchmidtCoeffs, g: GResult | None = None) -> KResult:

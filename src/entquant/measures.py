@@ -101,8 +101,9 @@ class GResult:
     g: float
     covariance: np.ndarray
     delta_g: float | None = None
-    t: np.ndarray | None = None  # the Pauli matrix that g was estimated from
-    estimate: tuple | None = None  # (t, group counts, inverse group totals), which k reads too
+    # (t, group counts, inverse group totals) of the table, t the Pauli
+    # matrix that g was estimated from; k and the CLI's tomography read it too
+    estimate: tuple | None = None
 
 
 def g_measure(rho: np.ndarray) -> GResult:

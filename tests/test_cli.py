@@ -185,6 +185,40 @@ class TestAnalyze:
         assert list(reports["kmode"]) == ["k", "inputs"]
         assert reports["kmode"] == {key: reports["full"][key] for key in ("k", "inputs")}
 
+    @pytest.mark.parametrize("flags, sections", [
+        ([], ["g", "delta_g", "covariance", "concurrence_from_g", "inputs"]),
+        (["--tomo"], ["g", "delta_g", "covariance", "concurrence_from_g", "tomo_concurrence", "inputs"]),
+        (["--theta", "20"], ["g", "delta_g", "covariance", "concurrence_from_g", "k", "inputs"]),
+        (["--tomo", "--theta", "20"], ["g", "delta_g", "covariance", "concurrence_from_g", "tomo_concurrence", "k", "inputs"]),
+    ], ids=["plain", "tomo", "theta", "tomo-theta"])
+    @pytest.mark.parametrize("table", ["full", "kmode", "block1-without-HD", "kmode-without-VV"])
+    def test_sections_follow_the_settings_held(self, capsys, tmp_path, table, flags, sections):
+        """g needs the 36 settings and k the 12 k-mode ones. --theta without
+        --tomo reports k alone on any table that lacks one of the 36 but
+        holds the 12; any other incomplete table exits 3 naming the first
+        setting of the 36 that it lacks."""
+        path = BLOCK1 if table == "full" else str(tmp_path / f"{table}.csv")
+        if table.startswith("kmode"):
+            assert cli.main(["simulate", "--family", "parallel", "--theta", "20", "--settings", "kmode", "--out", path]) == 0
+        if "-without-" in table:
+            source, (a, b) = table.split("-without-")
+            with open(BLOCK1 if source == "block1" else path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line for line in lines if not line.startswith(f"{a},{b},")))
+        k_alone = flags == ["--theta", "20"] and table in ("kmode", "block1-without-HD")
+        code = cli.main(["analyze", path, *flags])
+        out, err = capsys.readouterr()
+        if table != "full" and not k_alone:
+            assert (code, out, err) == (3, "", f"error: {path}: counts table is missing setting H,D\n")
+            return
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert list(report) == (["k", "inputs"] if k_alone else sections)
+        if table == "block1-without-HD":  # k reads only the diagonal groups, and H,D lies in another
+            assert cli.main(["analyze", BLOCK1, *flags]) == 0
+            assert report["k"] == json.loads(capsys.readouterr().out)["k"]
+
     def test_kmode_table_lacking_a_kmode_setting_exits_3(self, capsys, tmp_path):
         path = tmp_path / "k.csv"
         assert cli.main(["simulate", "--family", "parallel", "--theta", "20", "--settings", "kmode", "--out", str(path)]) == 0
@@ -526,6 +560,16 @@ class TestCliContract:
         )
         report = run_json("analyze", str(sim))
         assert report["inputs"]["seed"] == 23
+
+    def test_report_keys_keep_their_order(self, capsys, tmp_path):
+        path = str(tmp_path / "p.csv")
+        assert cli.main(["simulate", "--family", "parallel", "--theta", "20", "--noise", "poisson", "--seed", "7", "--out", path]) == 0
+        assert cli.main(["analyze", path, "--theta", "20"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["inputs"]) == ["file", "source", "theta_deg", "seed"]
+        assert cli.main(["tomo", path, "--reference", "singlet"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["eigenvalues", "purity", "tomo_concurrence", "inputs", "fidelity"]
+        assert list(report["inputs"]) == ["file", "source", "reference", "seed"]
 
     @pytest.mark.parametrize("verb", [("analyze", BLOCK1), ("sweep-g", "--steps", "3")])
     @pytest.mark.parametrize("target", ["no_such_dir/out.txt", ""], ids=["missing-dir", "directory"])

@@ -913,7 +913,7 @@ class TestGroupTensorMatchesDenseJacobian:
         n, t, jac = dense_jacobian_reference(table, FULL_SETTINGS)
         g, _, grad = _g_terms(t)
         res = g_from_counts(table)
-        assert np.array_equal(res.t, t)
+        assert np.array_equal(res.estimate[0], t)
         assert res.g == g
         assert res.delta_g == pytest.approx(dense_sigma(n, jac, grad), rel=1e-12)
 
